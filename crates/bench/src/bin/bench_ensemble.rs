@@ -36,7 +36,6 @@ use censemble::{
 };
 use cocean::Roms;
 use cphysics::VerifierConfig;
-use ctensor::backend::BackendChoice;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -44,7 +43,7 @@ fn main() {
     let seed = 42u64;
     let year = 1u32;
 
-    let mut sc = Scenario::small().with_backend(BackendChoice::Blocked);
+    let mut sc = Scenario::small();
     sc.epochs = if smoke { 1 } else { 3 };
     let grid = sc.grid();
     eprintln!("[ensemble] simulating training archive…");
@@ -67,7 +66,6 @@ fn main() {
         seed,
     );
     let members = catalog.members();
-    let _pin = ctensor::backend::scoped(BackendChoice::Blocked.resolve());
 
     // ---------------------------------------------------- naive baseline
     // Per member: ROMS under the member's forcing supplies the boundary

@@ -9,9 +9,9 @@
 
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Instant;
 
-use ctensor::backend::{self, Backend, Blocked, ScalarRef};
+use cbench::best_of_ms;
+use ctensor::backend::{self, ScalarRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,22 +27,12 @@ impl KernelResult {
     }
 }
 
-/// Best-of-`reps` wall time (ms) of `f` under backend `be`.
-fn time_under(be: Arc<dyn Backend>, reps: usize, mut f: impl FnMut()) -> f64 {
-    let _scope = backend::scoped(be);
-    f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn compare(name: &'static str, reps: usize, mut f: impl FnMut()) -> KernelResult {
-    let blocked_ms = time_under(Arc::new(Blocked::from_env()), reps, &mut f);
-    let scalar_ms = time_under(Arc::new(ScalarRef), reps, &mut f);
+    let blocked_ms = best_of_ms(reps, &mut f);
+    let scalar_ms = {
+        let _oracle = backend::scoped(Arc::new(ScalarRef));
+        best_of_ms(reps, &mut f)
+    };
     let r = KernelResult {
         name,
         scalar_ms,
@@ -119,16 +109,15 @@ fn main() {
         let qw = ctensor::quant::QuantizedTensor::quantize(w.as_slice(), k, n);
         let fw = ctensor::quant::F16Weight::compress(w.as_slice(), k, n);
         let mut out = vec![0.0f32; m * n];
-        let blocked: Arc<dyn Backend> = Arc::new(Blocked::from_env());
-        let f32_ms = time_under(Arc::clone(&blocked), 10, || {
+        let f32_ms = best_of_ms(10, || {
             std::hint::black_box(x.matmul_bias(&w, &bias));
         });
-        let int8_ms = time_under(Arc::clone(&blocked), 10, || {
+        let int8_ms = best_of_ms(10, || {
             let acts = ctensor::quant::quantize_acts(x.as_slice(), m, k);
             backend::current().qlinear_i8(&acts, &qw, Some(bias.as_slice()), &mut out);
             std::hint::black_box(&out);
         });
-        let f16_ms = time_under(blocked, 10, || {
+        let f16_ms = best_of_ms(10, || {
             let wt = ctensor::tensor::Tensor::from_vec(fw.decompress(), &[k, n]);
             std::hint::black_box(x.matmul_bias(&wt, &bias));
         });
@@ -152,7 +141,7 @@ fn main() {
             .num_threads(t)
             .build_global()
             .expect("thread pool override");
-        let ms = time_under(Arc::new(Blocked::from_env()), 5, || {
+        let ms = best_of_ms(5, || {
             std::hint::black_box(a.matmul(&b));
         });
         eprintln!("[kernels] matmul_b8_256x256x256 @ {t} threads: {ms:.2} ms");

@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use ccore::{train_surrogate, Scenario, SurrogateSpec};
 use cocean::Snapshot;
 use cserve::{ForecastRequest, ForecastServer, ServeConfig};
-use ctensor::backend::BackendChoice;
 use ctensor::quant::Precision;
 
 /// Deterministic 64-bit LCG (same multiplier/increment as the repo's
@@ -103,7 +102,6 @@ fn fresh_server(spec: &SurrogateSpec, precision: Precision, d: usize, n: usize) 
             max_wait: Duration::from_millis(2),
             queue_capacity: n * 2,
             cache_capacity: d,
-            backend: BackendChoice::Blocked,
             scenario_id: None,
             precision,
             ..Default::default()
@@ -209,7 +207,7 @@ fn main() {
     let (distinct, n_requests, clients) = if smoke { (8, 48, 4) } else { (16, 256, 8) };
 
     // ------------------------------------------------ model + trace setup
-    let mut sc = Scenario::small().with_backend(BackendChoice::Blocked);
+    let mut sc = Scenario::small();
     sc.epochs = if smoke { 1 } else { 3 };
     let grid = sc.grid();
     eprintln!("[load] simulating training archive…");

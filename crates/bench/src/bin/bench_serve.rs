@@ -17,7 +17,7 @@
 //!   sequential baseline (one `predict_episode` per request, no serving
 //!   stack) recomputes all 64.
 //!
-//! Headline criterion: mixed-traffic micro-batched throughput ≥ 3× the
+//! Headline gate: mixed-traffic micro-batched throughput ≥ 3× the
 //! sequential baseline.
 //!
 //! Every sweep point (and the sequential baseline) is best-of-N over
@@ -45,7 +45,6 @@ use std::time::{Duration, Instant};
 use ccore::{train_surrogate, Scenario, SurrogateSpec};
 use cocean::Snapshot;
 use cserve::{ForecastRequest, ForecastServer, ServeConfig};
-use ctensor::backend::BackendChoice;
 
 struct RunResult {
     workers: usize,
@@ -87,7 +86,6 @@ fn serve_run(
                 max_wait: Duration::from_millis(2),
                 queue_capacity: requests.len() * 2,
                 cache_capacity: 0, // measure the serving machinery, not the LRU
-                backend: BackendChoice::Blocked,
                 scenario_id: None,
                 ..Default::default()
             },
@@ -248,7 +246,7 @@ fn main() {
     let n_requests = 64usize;
     let n_distinct_mixed = 8usize;
 
-    let mut sc = Scenario::small().with_backend(BackendChoice::Blocked);
+    let mut sc = Scenario::small();
     sc.epochs = if smoke { 1 } else { 3 };
     let grid = sc.grid();
     eprintln!("[serve] simulating training archive…");
@@ -270,7 +268,6 @@ fn main() {
     // One thread, one `predict_episode` per request, no serving stack —
     // the pre-serving deployment recomputes every request, so distinct
     // and mixed traffic cost the same. Best-of-`reps` like the sweep.
-    let _pin = ctensor::backend::scoped(BackendChoice::Blocked.resolve());
     let mut seq_wall = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
@@ -279,7 +276,6 @@ fn main() {
         }
         seq_wall = seq_wall.min(t0.elapsed().as_secs_f64());
     }
-    drop(_pin);
     let seq_rps = n_requests as f64 / seq_wall;
     eprintln!("[serve] sequential baseline: {seq_rps:.1} req/s ({seq_wall:.3} s for {n_requests})");
 
@@ -376,7 +372,6 @@ fn main() {
             max_wait: Duration::from_millis(2),
             queue_capacity: mixed.len() * 2,
             cache_capacity: 0,
-            backend: BackendChoice::Blocked,
             scenario_id: None,
             ..Default::default()
         },

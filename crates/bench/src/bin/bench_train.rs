@@ -17,14 +17,13 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cbench::best_of_ms;
 use cocean::Snapshot;
 use cpipeline::{
     encode_episode, stack_episodes, EncodeConfig, Episode, NormStats, TrainConfig, Trainer,
 };
 use csurrogate::{SwinConfig, SwinSurrogate};
-use ctensor::backend::{
-    self, AdamStepSpec, AttentionSpec, Backend, Blocked, MatmulSpec, ScalarRef, UnaryOp,
-};
+use ctensor::backend::{self, AdamStepSpec, AttentionSpec, MatmulSpec, ScalarRef, UnaryOp};
 use ctensor::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,22 +40,12 @@ impl Row {
     }
 }
 
-/// Best-of-`reps` wall time (ms) of `f` under backend `be`.
-fn time_under(be: Arc<dyn Backend>, reps: usize, mut f: impl FnMut()) -> f64 {
-    let _scope = backend::scoped(be);
-    f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn compare(name: &'static str, reps: usize, mut f: impl FnMut()) -> Row {
-    let blocked_ms = time_under(Arc::new(Blocked::from_env()), reps, &mut f);
-    let scalar_ms = time_under(Arc::new(ScalarRef), reps, &mut f);
+    let blocked_ms = best_of_ms(reps, &mut f);
+    let scalar_ms = {
+        let _oracle = backend::scoped(Arc::new(ScalarRef));
+        best_of_ms(reps, &mut f)
+    };
     let r = Row {
         name,
         scalar_ms,
@@ -285,20 +274,21 @@ fn main() {
         let mut p = p0.as_slice().to_vec();
         let mut m = vec![0.0f32; len];
         let mut v = vec![0.0f32; len];
-        let mut fused = |be: Arc<dyn Backend>, reps: usize| {
-            time_under(be, reps, || {
-                backend::current().adam_step(&mut p, g.as_slice(), &mut m, &mut v, &spec);
-                std::hint::black_box((&p, &m, &v));
-            })
+        let mut fused = || {
+            backend::current().adam_step(&mut p, g.as_slice(), &mut m, &mut v, &spec);
+            std::hint::black_box((&p, &m, &v));
         };
-        let fused_blocked_ms = fused(Arc::new(Blocked::from_env()), 10);
-        let fused_scalar_ms = fused(Arc::new(ScalarRef), 10);
+        let fused_blocked_ms = best_of_ms(10, &mut fused);
+        let fused_scalar_ms = {
+            let _oracle = backend::scoped(Arc::new(ScalarRef));
+            best_of_ms(10, &mut fused)
+        };
 
         let gt = Tensor::from_vec(g.as_slice().to_vec(), &[len]);
         let mut pt = p0.clone();
         let mut mt = Tensor::zeros(&[len]);
         let mut vt = Tensor::zeros(&[len]);
-        let unfused_blocked_ms = time_under(Arc::new(Blocked::from_env()), 10, || {
+        let unfused_blocked_ms = best_of_ms(10, || {
             mt = mt.scale(spec.beta1).add(&gt.scale(1.0 - spec.beta1));
             vt = vt
                 .scale(spec.beta2)

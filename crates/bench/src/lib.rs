@@ -2,7 +2,7 @@
 //!
 //! Harness regenerating every table and figure of the paper's evaluation
 //! on scaled scenarios. Binaries: `table1..table4`, `fig5..fig10`,
-//! `repro_all`; criterion benches cover the hot kernels.
+//! `repro_all`, and the `bench_*` bins that write `BENCH_*.json`.
 
 use ccore::{train_surrogate, Scenario, TrainedSurrogate};
 use cgrid::Grid;
@@ -12,6 +12,19 @@ pub mod stamp;
 pub mod telemetry;
 
 pub use stamp::RunStamp;
+
+/// Best-of-`reps` wall time (ms) of `f`, after one warm-up call, on the
+/// calling thread's current tensor backend.
+pub fn best_of_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warmup
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
 
 /// A prepared experiment context shared by the harness binaries:
 /// grid + trained surrogate + train/test archives.

@@ -9,7 +9,6 @@ use cpipeline::{
     WindowSpec,
 };
 use csurrogate::{SwinConfig, SwinSurrogate};
-use ctensor::backend::BackendChoice;
 use ctensor::prelude::*;
 use std::sync::Arc;
 
@@ -42,13 +41,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Pin every stage of this scenario (training, inference, hybrid
-    /// forecasting) to one tensor compute backend.
-    pub fn with_backend(mut self, backend: BackendChoice) -> Self {
-        self.swin.backend = backend;
-        self
-    }
-
     /// Override the boundary forcing (see [`Scenario::forcing`]).
     pub fn with_forcing(mut self, forcing: TidalForcing) -> Self {
         self.forcing = Some(forcing);
@@ -77,7 +69,6 @@ impl Scenario {
             window_first: [2, 2, 2, 2],
             window_rest: [2, 2, 2, 2],
             mlp_ratio: 1.5,
-            backend: BackendChoice::default(),
         };
         Scenario {
             grid_params,
@@ -309,7 +300,6 @@ pub fn train_surrogate(scenario: &Scenario, grid: &Grid, archive: &[Snapshot]) -
         mask.clone(),
         TrainConfig {
             lr: scenario.lr,
-            backend: scenario.swin.backend,
             ..Default::default()
         },
     );

@@ -72,9 +72,6 @@ impl<'a> HybridForecaster<'a> {
         start: usize,
         n_episodes: usize,
     ) -> Result<HybridOutcome, ForecastError> {
-        // Pin the surrogate's configured backend for the whole hybrid run:
-        // episode encode/decode tensor work shares the model's kernels.
-        let _backend = ctensor::backend::scoped(self.surrogate.model.cfg.backend.resolve());
         let t_out = self.surrogate.model.cfg.t_out;
         if start + n_episodes * t_out >= reference.len() {
             return Err(ForecastError::ReferenceTooShort {

@@ -5,10 +5,8 @@
 //! Song & Haidvogel stretching so resolution concentrates near surface
 //! and/or bottom.
 
-use serde::{Deserialize, Serialize};
-
 /// Sigma-coordinate configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SigmaCoords {
     /// Number of layers (the paper's mesh uses 12).
     pub nz: usize,

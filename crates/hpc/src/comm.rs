@@ -1,16 +1,15 @@
-//! Message-passing communicator over crossbeam channels — the "MPI" of the
-//! thread-based runtime.
+//! Message-passing communicator over `std::sync::mpsc` channels — the
+//! "MPI" of the thread-based runtime.
 //!
 //! Each pair of ranks gets a dedicated FIFO channel, so point-to-point
 //! ordering matches MPI semantics. Messages carry a tag that is checked on
 //! receive (a mismatched tag is a protocol bug and panics loudly rather
 //! than silently reordering physics).
 
+use std::cell::Cell;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 /// A tagged payload.
 struct Message {
@@ -36,7 +35,7 @@ pub fn communicators(p: usize) -> Vec<Comm> {
     let mut rxs: Vec<Vec<Receiver<Message>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
     for dst in 0..p {
         for _src in 0..p {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             txs[dst].push(tx);
             rxs[dst].push(rx);
         }
@@ -53,7 +52,7 @@ pub fn communicators(p: usize) -> Vec<Comm> {
             send_to,
             recv_from: rx_set,
             barrier: Arc::clone(&barrier),
-            stats: Mutex::new(CommStats::default()),
+            stats: Cell::new(CommStats::default()),
         });
     }
     comms
@@ -66,7 +65,9 @@ pub struct Comm {
     send_to: Vec<Sender<Message>>,
     recv_from: Vec<Receiver<Message>>,
     barrier: Arc<std::sync::Barrier>,
-    stats: Mutex<CommStats>,
+    /// A `Comm` lives on one thread (its receivers are not `Sync`), so the
+    /// counters need no lock.
+    stats: Cell<CommStats>,
 }
 
 impl Comm {
@@ -85,10 +86,11 @@ impl Comm {
         self.send_to[to]
             .send(Message { tag, data })
             .expect("peer hung up");
-        let mut s = self.stats.lock();
-        s.messages_sent += 1;
-        s.doubles_sent += n;
-        s.comm_seconds += t0.elapsed().as_secs_f64();
+        self.update_stats(|s| {
+            s.messages_sent += 1;
+            s.doubles_sent += n;
+            s.comm_seconds += t0.elapsed().as_secs_f64();
+        });
     }
 
     /// Blocking receive from `from`; the tag must match the next message.
@@ -100,7 +102,7 @@ impl Comm {
             "rank {} expected tag {tag} from {from}, got {}",
             self.rank, msg.tag
         );
-        self.stats.lock().comm_seconds += t0.elapsed().as_secs_f64();
+        self.update_stats(|s| s.comm_seconds += t0.elapsed().as_secs_f64());
         msg.data
     }
 
@@ -108,12 +110,18 @@ impl Comm {
     pub fn barrier(&self) {
         let t0 = Instant::now();
         self.barrier.wait();
-        self.stats.lock().barrier_seconds += t0.elapsed().as_secs_f64();
+        self.update_stats(|s| s.barrier_seconds += t0.elapsed().as_secs_f64());
     }
 
     /// Snapshot of this rank's communication counters.
     pub fn stats(&self) -> CommStats {
-        *self.stats.lock()
+        self.stats.get()
+    }
+
+    fn update_stats(&self, f: impl FnOnce(&mut CommStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
     }
 
     /// Sum-reduce a scalar across all ranks (naive all-to-root-to-all).
@@ -172,31 +180,19 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    let comms = communicators(p);
-    let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for comm in comms {
-            let f = &f;
-            handles.push(scope.spawn(move |_| f(&comm)));
-        }
-        let mut first_panic = None;
-        for (slot, h) in results.iter_mut().zip(handles) {
-            match h.join() {
-                Ok(r) => *slot = Some(r),
-                Err(e) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_panic {
-            std::panic::resume_unwind(e);
-        }
-    })
-    .expect("parallel scope failed");
-    results.into_iter().map(|r| r.unwrap()).collect()
+    let f = &f;
+    // Join every rank, then re-raise the first panic in rank order.
+    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = communicators(p)
+            .into_iter()
+            .map(|comm| scope.spawn(move || f(&comm)))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! separates the training year from the test year in the data pipeline,
 //! standing in for the paper's 2011-train / 2012-test split.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a forcing parameterization was rejected at construction.
@@ -53,7 +52,7 @@ impl fmt::Display for ForcingError {
 impl std::error::Error for ForcingError {}
 
 /// One tidal constituent.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Constituent {
     /// Amplitude (m).
     pub amplitude: f64,
@@ -120,7 +119,7 @@ impl Constituent {
 }
 
 /// Boundary forcing: tidal constituents + low-frequency anomaly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TidalForcing {
     pub constituents: Vec<Constituent>,
     /// Alongshore phase lag (rad per meter of boundary) — the tide arrives

@@ -3,7 +3,6 @@
 
 use cgrid::Grid;
 use cocean::Snapshot;
-use serde::{Deserialize, Serialize};
 
 use crate::mass::{water_mass_residual, ResidualField};
 
@@ -14,7 +13,7 @@ pub const PAPER_THRESHOLDS: [f64; 6] = [3.0e-4, 3.5e-4, 4.0e-4, 4.5e-4, 5.0e-4, 
 pub const ACCEPTED_THRESHOLD: f64 = 5.0e-4;
 
 /// Verifier configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VerifierConfig {
     /// Mean-residual threshold (m/s).
     pub threshold: f64,

@@ -10,17 +10,15 @@
 //! - [`loader`]: prefetch workers, pinned staging-buffer pool, and
 //!   deterministic batch ordering.
 //! - [`trainer`]: batch-first Adam training with gradient accumulation,
-//!   activation-memory budgeting, and throughput metering.
+//!   activation-memory budgeting, throughput metering, and the
+//!   data-parallel epoch (weak scaling, Fig. 10).
 //! - [`checkpoint`]: full training-state snapshots (params, buffers, Adam
 //!   moments) for bitwise-identical stop/resume.
-//! - [`parallel`]: data-parallel replicas with synchronous gradient
-//!   all-reduce (weak scaling, Fig. 10).
 
 pub mod checkpoint;
 pub mod dataset;
 pub mod loader;
 pub mod normalize;
-pub mod parallel;
 pub mod store;
 pub mod trainer;
 
@@ -31,6 +29,5 @@ pub use dataset::{
 };
 pub use loader::{DataLoader, LoaderConfig};
 pub use normalize::NormStats;
-pub use parallel::{train_data_parallel, ParallelConfig, ParallelStats};
 pub use store::SnapshotStore;
 pub use trainer::{EpochStats, StepStats, TrainConfig, Trainer};

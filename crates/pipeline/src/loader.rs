@@ -15,12 +15,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver};
 use ctensor::prelude::*;
-use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -62,9 +61,15 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
+    /// Every update leaves the pool a valid list of buffers, so a worker
+    /// that panicked while holding the lock does not take the pool with it.
+    fn lock(&self) -> MutexGuard<'_, Vec<Vec<f32>>> {
+        self.pool.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Take a buffer of at least `n` elements.
     fn take(&self, n: usize) -> Vec<f32> {
-        let mut pool = self.pool.lock();
+        let mut pool = self.lock();
         if let Some(pos) = pool.iter().position(|b| b.capacity() >= n) {
             let mut b = pool.swap_remove(pos);
             b.clear();
@@ -76,7 +81,7 @@ impl BufferPool {
     }
 
     fn give(&self, buf: Vec<f32>) {
-        let mut pool = self.pool.lock();
+        let mut pool = self.lock();
         if pool.len() < 16 {
             pool.push(buf);
         }
@@ -84,7 +89,7 @@ impl BufferPool {
 
     /// Buffers currently pooled (diagnostics).
     pub fn pooled(&self) -> usize {
-        self.pool.lock().len()
+        self.lock().len()
     }
 }
 
@@ -206,7 +211,7 @@ impl DataLoader {
             };
         }
         // Spawn prefetch workers sharing an index cursor.
-        let (tx, rx) = bounded::<(usize, Episode)>(self.cfg.prefetch_factor.max(1));
+        let (tx, rx) = sync_channel::<(usize, Episode)>(self.cfg.prefetch_factor.max(1));
         let cursor = Arc::new(AtomicUsize::new(0));
         let order_arc = Arc::new(order.clone());
         let mut workers = Vec::new();

@@ -3,13 +3,12 @@
 //! and standard deviation from the 2011 data").
 
 use cocean::Snapshot;
-use serde::{Deserialize, Serialize};
 
 /// Variable order used throughout: u, v, w, ζ.
 pub const VAR_NAMES: [&str; 4] = ["u", "v", "w", "zeta"];
 
 /// Per-variable mean/std in physical units.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NormStats {
     pub mean: [f64; 4],
     pub std: [f64; 4],

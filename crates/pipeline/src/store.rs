@@ -2,20 +2,20 @@
 //!
 //! The paper's decade-long ROMS archive is FP64 on disk, compressed to
 //! FP16 for training (2.6 TB). This store keeps snapshots as framed `f16`
-//! payloads in one contiguous buffer ([`bytes::Bytes`]) and decompresses
+//! payloads in one contiguous byte buffer and decompresses
 //! on fetch; fetching is deliberately *work* (f16→f32 widening of every
 //! value), standing in for the SSD→RAM leg whose cost the loader
 //! optimizations of §III-D hide. An optional artificial latency models a
 //! slower storage tier.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cocean::Snapshot;
 use ctensor::f16::F16;
 
 /// Compressed snapshot archive.
 pub struct SnapshotStore {
-    /// Framed payloads.
-    data: Bytes,
+    /// Framed payloads: per snapshot an 8-byte time, then the four fields
+    /// as little-endian `f16` bits.
+    data: Vec<u8>,
     /// Byte offset of each snapshot.
     offsets: Vec<usize>,
     /// Extra per-fetch latency in microseconds (0 = pure decompression).
@@ -28,20 +28,20 @@ impl SnapshotStore {
     pub fn build(snaps: &[Snapshot]) -> Self {
         assert!(!snaps.is_empty());
         let (nz, ny, nx) = (snaps[0].nz, snaps[0].ny, snaps[0].nx);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut offsets = Vec::with_capacity(snaps.len());
         for s in snaps {
             assert_eq!((s.nz, s.ny, s.nx), (nz, ny, nx), "mixed mesh sizes");
             offsets.push(buf.len());
-            buf.put_f64(s.time);
+            buf.extend_from_slice(&s.time.to_le_bytes());
             for field in [&s.zeta, &s.u, &s.v, &s.w] {
                 for &v in field.iter() {
-                    buf.put_u16(F16::from_f32(v).0);
+                    buf.extend_from_slice(&F16::from_f32(v).0.to_le_bytes());
                 }
             }
         }
         Self {
-            data: buf.freeze(),
+            data: buf,
             offsets,
             fetch_latency_us: 0,
             dims: (nz, ny, nx),
@@ -89,15 +89,13 @@ impl SnapshotStore {
         let (nz, ny, nx) = self.dims;
         let n2 = ny * nx;
         let n3 = nz * n2;
-        let mut cur = &self.data[self.offsets[idx]..];
-        let time = cur.get_f64();
-        let mut read = |n: usize| -> Vec<f32> {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(F16(cur.get_u16()).to_f32());
-            }
-            v
-        };
+        let start = self.offsets[idx];
+        let (head, payload) = self.data[start..start + 8 + 2 * (n2 + 3 * n3)].split_at(8);
+        let time = f64::from_le_bytes(head.try_into().expect("split at 8 bytes"));
+        let mut values = payload
+            .chunks_exact(2)
+            .map(|b| F16(u16::from_le_bytes([b[0], b[1]])).to_f32());
+        let mut read = |n: usize| -> Vec<f32> { values.by_ref().take(n).collect() };
         let zeta = read(n2);
         let u = read(n3);
         let v = read(n3);

@@ -28,9 +28,6 @@ pub struct TrainConfig {
     /// whose metered forward peak exceeds it (the paper's 80 GB A100
     /// ceiling that forces batch 1 without checkpointing).
     pub memory_budget: Option<usize>,
-    /// Tensor compute backend pinned for every step (forward, backward
-    /// closures, and optimizer updates all run under it).
-    pub backend: BackendChoice,
     /// Micro-batches to accumulate before each optimizer update (≥1).
     /// Gradients are averaged over the accumulated micro-batches in a
     /// fixed positional order, so the result does not depend on kernel
@@ -44,7 +41,6 @@ impl Default for TrainConfig {
             lr: 1e-3,
             grad_clip: 1.0,
             memory_budget: None,
-            backend: BackendChoice::default(),
             accum_steps: 1,
         }
     }
@@ -98,26 +94,11 @@ impl Trainer {
         }
     }
 
-    /// The backend a step runs under: the trainer's own choice, or — when
-    /// that is `Auto` — the model's pinned backend, so a model built with
-    /// `SwinConfig::with_backend(Scalar)` also bisects its gradient path.
-    fn step_backend(&self) -> std::sync::Arc<dyn ctensor::backend::Backend> {
-        match self.cfg.backend {
-            BackendChoice::Auto => self.model.cfg.backend.resolve(),
-            pinned => pinned.resolve(),
-        }
-    }
-
     /// Forward + backward on a (possibly batched) episode *without* an
     /// optimizer update: gradients accumulate into the parameters, so
     /// calling this repeatedly before [`Trainer::apply_accumulated`]
     /// implements gradient accumulation.
     pub fn forward_backward(&mut self, batch: &Episode) -> StepStats {
-        // Pin the backend for the whole step — the model's own forward
-        // scope ends with forward, but backward closures (including
-        // checkpoint replays) and the optimizer update must run on the
-        // same kernels.
-        let _backend = ctensor::backend::scoped(self.step_backend());
         let t0 = Instant::now();
         let instances = batch.x3d.shape()[0];
         let mut g = Graph::new();
@@ -157,7 +138,6 @@ impl Trainer {
     /// [`Trainer::forward_backward`] (fixed positional order — deterministic
     /// for any kernel thread count), clip, and apply one optimizer update.
     pub fn apply_accumulated(&mut self, micro_batches: usize) {
-        let _backend = ctensor::backend::scoped(self.step_backend());
         let _span = cobs::span!("train.optimizer");
         let t0 = Instant::now();
         if micro_batches > 1 {
@@ -183,7 +163,6 @@ impl Trainer {
 
     /// Evaluation loss (no gradient, no update).
     pub fn eval(&self, batch: &Episode) -> f32 {
-        let _backend = ctensor::backend::scoped(self.step_backend());
         let mut g = Graph::inference();
         let x3 = g.constant(batch.x3d.clone());
         let x2 = g.constant(batch.x2d.clone());
@@ -294,7 +273,9 @@ impl Trainer {
         let workers = workers.clamp(1, episodes.len());
         let t0 = Instant::now();
 
-        let be = self.step_backend();
+        // A `scoped` backend is per thread: hand the caller's to every
+        // worker, so the whole epoch runs on one set of kernels.
+        let be = ctensor::backend::current();
         let state = state_dict(&self.model);
         let buffers = self.model.buffers();
         let model_cfg = self.model.cfg.clone();
@@ -351,7 +332,6 @@ impl Trainer {
         });
 
         // Epoch-end all-reduce: rank-order f64 sum, then one update.
-        let _backend = ctensor::backend::scoped(be);
         let n_total: usize = results.iter().map(|r| r.1).sum();
         let loss_sum: f64 = results.iter().map(|r| r.0).sum();
         let peak = results.iter().map(|r| r.4).max().unwrap_or(0);
@@ -658,13 +638,10 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn data_parallel_single_worker_matches_serial_stacked_step() {
-        // Four episodes (power of two, so the f64 weight/average round-trip
-        // is exact), one worker, per-worker batch 4: the data-parallel epoch
-        // must be bitwise-identical to one serial step on the stacked batch.
-        let cfg = SwinConfig::tiny(8, 8, 4, 2);
-        let eps: Vec<Episode> = (0..4)
+    /// `n` distinct episodes: windows of one synthetic record, each starting
+    /// one snapshot later.
+    fn shifted_episodes(cfg: &SwinConfig, n: usize) -> Vec<Episode> {
+        (0..n)
             .map(|i| {
                 let snaps = synthetic_snaps(cfg.t_out + 1 + i, cfg.ny, cfg.nx, cfg.nz);
                 encode_episode(
@@ -673,7 +650,16 @@ mod tests {
                     &EncodeConfig::default(),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn data_parallel_single_worker_matches_serial_stacked_step() {
+        // Four episodes (power of two, so the f64 weight/average round-trip
+        // is exact), one worker, per-worker batch 4: the data-parallel epoch
+        // must be bitwise-identical to one serial step on the stacked batch.
+        let cfg = SwinConfig::tiny(8, 8, 4, 2);
+        let eps = shifted_episodes(&cfg, 4);
         let mask = Tensor::ones(&[cfg.ny, cfg.nx]);
 
         let mut serial = Trainer::new(
@@ -709,16 +695,7 @@ mod tests {
     #[test]
     fn data_parallel_multi_worker_trains_and_is_deterministic() {
         let cfg = SwinConfig::tiny(8, 8, 4, 2);
-        let eps: Vec<Episode> = (0..5)
-            .map(|i| {
-                let snaps = synthetic_snaps(cfg.t_out + 1 + i, cfg.ny, cfg.nx, cfg.nz);
-                encode_episode(
-                    &snaps[i..],
-                    &NormStats::identity(),
-                    &EncodeConfig::default(),
-                )
-            })
-            .collect();
+        let eps = shifted_episodes(&cfg, 5);
         let mask = Tensor::ones(&[cfg.ny, cfg.nx]);
         let mut a = Trainer::new(
             SwinSurrogate::new(cfg.clone(), 0),
@@ -729,6 +706,7 @@ mod tests {
         let s = a.train_epoch_data_parallel(&eps, 2, 2);
         assert_eq!(s.instances, 5);
         assert!(s.mean_loss.is_finite());
+        assert!(s.instances_per_sec > 0.0 && s.wall_seconds > 0.0);
         let mut b = Trainer::new(
             SwinSurrogate::new(cfg.clone(), 0),
             mask,
@@ -739,6 +717,70 @@ mod tests {
             probe_all(&a),
             probe_all(&b),
             "same worker count must give bitwise-identical weights"
+        );
+    }
+
+    #[test]
+    fn backend_scope_around_data_parallel_epoch_reaches_every_worker() {
+        use ctensor::backend::{scoped, ScalarRef};
+        use std::sync::Arc;
+
+        let (cfg, mut blocked) = tiny_trainer();
+        let eps = shifted_episodes(&cfg, 2);
+        blocked.train_epoch_data_parallel(&eps, 2, 1);
+
+        let (_, mut scoped_epoch) = tiny_trainer();
+        {
+            let _oracle = scoped(Arc::new(ScalarRef));
+            scoped_epoch.train_epoch_data_parallel(&eps, 2, 1);
+        }
+
+        // The same epoch by hand: one thread per rank, each scoping the
+        // oracle itself, then the rank-order f64 mean and one update.
+        let (_, mut by_hand) = tiny_trainer();
+        let (state, mask) = (state_dict(&by_hand.model), by_hand.mask.clone());
+        let rank_grads: Vec<Vec<f32>> = std::thread::scope(|s| {
+            let ranks: Vec<_> = eps
+                .iter()
+                .map(|ep| {
+                    let (cfg, state, mask) = (&cfg, &state, &mask);
+                    s.spawn(move || {
+                        let _oracle = scoped(Arc::new(ScalarRef));
+                        let model = SwinSurrogate::from_state(cfg.clone(), state);
+                        let mut rank = Trainer::new(model, mask.clone(), TrainConfig::default());
+                        rank.forward_backward(ep);
+                        let grads = rank.opt.params().iter().flat_map(|p| {
+                            let g = p.grad().unwrap_or_else(|| Tensor::zeros(p.value().shape()));
+                            g.as_slice().to_vec()
+                        });
+                        grads.collect()
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        {
+            let _oracle = scoped(Arc::new(ScalarRef));
+            let mut off = 0;
+            for p in by_hand.opt.params() {
+                let mean: Vec<f32> = (off..off + p.numel())
+                    .map(|i| ((rank_grads[0][i] as f64 + rank_grads[1][i] as f64) * 0.5) as f32)
+                    .collect();
+                p.accum_grad(&Tensor::from_vec(mean, p.value().shape()));
+                off += p.numel();
+            }
+            by_hand.apply_accumulated(1);
+        }
+
+        assert_eq!(
+            probe_all(&scoped_epoch),
+            probe_all(&by_hand),
+            "a scope around the epoch must put every worker on the oracle"
+        );
+        assert_ne!(
+            probe_all(&scoped_epoch),
+            probe_all(&blocked),
+            "the oracle epoch must not be the default-backend epoch"
         );
     }
 

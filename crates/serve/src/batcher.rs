@@ -11,10 +11,11 @@
 //! [`ServeError::Overloaded`] instead of growing the queue without limit.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
+use crate::lock;
 use crate::request::Priority;
 
 /// Flush policy and admission bound of a [`MicroBatcher`].
@@ -86,14 +87,10 @@ impl<T> MicroBatcher<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Enqueue an item, failing fast when the server is saturated or
     /// shutting down.
     pub fn push(&self, item: T, priority: Priority) -> Result<(), ServeError> {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         if st.closed {
             return Err(ServeError::Shutdown);
         }
@@ -116,7 +113,7 @@ impl<T> MicroBatcher<T> {
 
     /// Items currently pending.
     pub fn depth(&self) -> usize {
-        self.lock().total()
+        lock(&self.state).total()
     }
 
     /// Admission bound (see [`BatcherConfig::capacity`]).
@@ -128,7 +125,7 @@ impl<T> MicroBatcher<T> {
     /// FIFO within each class). Returns `None` once the queue is closed
     /// *and* fully drained — the consumer's shutdown signal.
     pub fn next_batch(&self) -> Option<Vec<T>> {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         loop {
             if st.total() == 0 {
                 if st.closed {
@@ -168,7 +165,7 @@ impl<T> MicroBatcher<T> {
     /// `max_batch` flushes on their own. Returns `None` once closed and
     /// drained.
     pub fn next_ready(&self) -> Option<Vec<T>> {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         while st.total() == 0 {
             if st.closed {
                 return None;
@@ -197,7 +194,7 @@ impl<T> MicroBatcher<T> {
     /// normal-priority leader: the shared computation inherits the most
     /// urgent waiter's class. Returns how many items were promoted.
     pub fn promote_where(&self, pred: impl Fn(&T) -> bool) -> usize {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         let mut promoted = 0;
         let mut rest = VecDeque::with_capacity(st.normal.len());
         let mut moved = Vec::new();
@@ -236,7 +233,7 @@ impl<T> MicroBatcher<T> {
     /// Stop admitting new items; consumers drain what is pending, then
     /// [`Self::next_batch`] returns `None`.
     pub fn close(&self) {
-        self.lock().closed = true;
+        lock(&self.state).closed = true;
         self.cond.notify_all();
     }
 }

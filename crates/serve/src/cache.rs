@@ -12,12 +12,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cocean::Snapshot;
 use ctensor::f16::F16;
-use parking_lot::Mutex;
 
+use crate::lock;
 use crate::request::CacheKey;
 
 /// One snapshot with its four field arrays compressed to binary16.
@@ -124,7 +124,7 @@ impl ForecastCache {
             cobs::counter!("serve.cache.misses").inc();
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(key) {
@@ -149,7 +149,7 @@ impl ForecastCache {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         inner.map.get_mut(key).map(|e| {
@@ -165,7 +165,7 @@ impl ForecastCache {
             return;
         }
         let payload: Vec<HalfSnapshot> = value.iter().map(HalfSnapshot::encode).collect();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
@@ -192,7 +192,7 @@ impl ForecastCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// True when nothing is cached.
@@ -203,8 +203,7 @@ impl ForecastCache {
     /// Resident field-payload bytes across all entries (the f16 arrays;
     /// an f32-at-rest cache would hold exactly twice this).
     pub fn payload_bytes(&self) -> usize {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .map
             .values()
             .map(|e| e.payload.iter().map(HalfSnapshot::nbytes).sum::<usize>())

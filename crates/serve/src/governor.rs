@@ -30,6 +30,8 @@ use cobs::drift::{DriftBaseline, DriftConfig, DriftEvent, DriftMonitor};
 use cobs::slo::AlertState;
 use ctensor::quant::Precision;
 
+use crate::lock;
+
 /// Where requests should go right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeRoute {
@@ -100,10 +102,6 @@ impl DriftGovernor {
         )
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, GovInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn route_at(&self, level: usize) -> ServeRoute {
         match self.ladder.get(level) {
             Some(&p) => ServeRoute::Surrogate(p),
@@ -119,7 +117,7 @@ impl DriftGovernor {
         zeta_mean: f64,
         zeta_extreme: f64,
     ) -> Option<GovernorAction> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let event = inner.monitor.observe(passed, zeta_mean, zeta_extreme)?;
         let from = self.route_at(inner.level);
         let action = match event {
@@ -170,19 +168,19 @@ impl DriftGovernor {
 
     /// Current routing decision.
     pub fn route(&self) -> ServeRoute {
-        self.route_at(self.lock().level)
+        self.route_at(lock(&self.inner).level)
     }
 
     /// Current ladder rung (`ladder.len()` = ROMS fallback).
     pub fn level(&self) -> usize {
-        self.lock().level
+        lock(&self.inner).level
     }
 
     /// Alert severity implied by the route: warning while degraded on
     /// the ladder, page once routing fell back to ROMS. Merged into
     /// `/healthz` alongside the SLO burn-rate alerts.
     pub fn alert_state(&self) -> AlertState {
-        let level = self.lock().level;
+        let level = lock(&self.inner).level;
         if level >= self.ladder.len() {
             AlertState::Page
         } else if level > 0 {
@@ -194,7 +192,7 @@ impl DriftGovernor {
 
     /// `/healthz` fragment describing the governor.
     pub fn status_json(&self) -> String {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let ladder: Vec<String> = self
             .ladder
             .iter()

@@ -20,9 +20,9 @@
 //!   [`ServeError::Overloaded`], not unbounded growth.
 //! - [`replica` pool][ForecastServer] — worker threads that each rebuild
 //!   the model from a [`ccore::SurrogateSpec`] (parameters are
-//!   thread-local `Rc`s; the spec's tensors are `Send`) and pin one
-//!   compute backend. Each batch is **one** `predict_batch` forward pass,
-//!   so throughput scales with batch size rather than request count.
+//!   thread-local `Rc`s; the spec's tensors are `Send`). Each batch is
+//!   **one** `predict_batch` forward pass, so throughput scales with
+//!   batch size rather than request count.
 //! - [`ServeMetrics`] — p50/p95/p99 latency, throughput, batch-size
 //!   histogram, cache hit rate.
 //!
@@ -69,3 +69,11 @@ pub use metrics::{MetricsRecorder, ServeMetrics};
 pub use ops::{OpsServer, OpsState};
 pub use request::{ForecastRequest, Priority};
 pub use server::{ForecastServer, ResponseHandle, ServeConfig};
+
+/// Lock `m`, taking the guard from a poisoned mutex too: the queue, cache,
+/// in-flight registry, compute gate, metrics and governor are updated in
+/// steps that each leave them valid, and a replica that panicked mid-batch
+/// must not turn every later request into a second panic.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -21,13 +21,14 @@
 //! extra instrumentation at call sites.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cobs::metrics::Reservoir;
 use cobs::recorder::Outcome;
 use cobs::slo::SloEngine;
-use parking_lot::Mutex;
+
+use crate::lock;
 
 /// Latency samples kept for percentile estimation. Bounded so a
 /// long-lived server's memory (and the sort in [`MetricsRecorder::snapshot`])
@@ -145,7 +146,7 @@ impl MetricsRecorder {
     /// Record a request admitted past validation. Every submitted request
     /// ends in exactly one of completed / failed / rejected.
     pub fn record_submitted(&self) {
-        self.inner.lock().submitted += 1;
+        lock(&self.inner).submitted += 1;
         cobs::counter!("serve.requests.submitted").inc();
     }
 
@@ -161,7 +162,7 @@ impl MetricsRecorder {
     ) {
         let ms = latency.as_secs_f64() * 1e3;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             inner.completed += 1;
             inner.latencies_ms.push(ms);
         }
@@ -172,28 +173,28 @@ impl MetricsRecorder {
 
     /// Record one executed model batch of `size` requests.
     pub fn record_batch(&self, size: usize) {
-        *self.inner.lock().batch_sizes.entry(size).or_insert(0) += 1;
+        *lock(&self.inner).batch_sizes.entry(size).or_insert(0) += 1;
         cobs::histogram!("serve.batch_size").record(size as f64);
     }
 
     /// Record an admission rejection (`Overloaded`). `latency` is
     /// submit → rejection (the client-observed wait for the error).
     pub fn record_rejection(&self, latency: Duration, trace: Option<&cobs::TraceHandle>) {
-        self.inner.lock().rejected += 1;
+        lock(&self.inner).rejected += 1;
         cobs::counter!("serve.requests.rejected").inc();
         self.feed_ops(Outcome::Rejected, latency, false, false, trace);
     }
 
     /// Record a request that reached a replica but failed.
     pub fn record_failure(&self, latency: Duration, trace: Option<&cobs::TraceHandle>) {
-        self.inner.lock().failed += 1;
+        lock(&self.inner).failed += 1;
         cobs::counter!("serve.requests.failed").inc();
         self.feed_ops(Outcome::Failed, latency, false, false, trace);
     }
 
     /// Record a request coalesced onto an identical in-flight computation.
     pub fn record_coalesced(&self) {
-        self.inner.lock().coalesced += 1;
+        lock(&self.inner).coalesced += 1;
         cobs::counter!("serve.requests.coalesced").inc();
     }
 
@@ -202,7 +203,7 @@ impl MetricsRecorder {
     /// `cache_stats` is `(hits, misses)` from the forecast cache.
     pub fn snapshot(&self, cache_stats: (u64, u64)) -> ServeMetrics {
         let (mut lat, batch_histogram, submitted, completed, rejected, failed, coalesced) = {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             (
                 inner.latencies_ms.samples().to_vec(),
                 inner.batch_sizes.iter().map(|(&k, &v)| (k, v)).collect(),

@@ -3,9 +3,8 @@
 //! Model parameters are `Rc`-shared and therefore thread-local, so each
 //! worker thread rebuilds its own `TrainedSurrogate` from the shared
 //! [`SurrogateSpec`] (cheap: deferred-init skeleton + `Arc`-clone tensor
-//! loads) and pins one compute backend for its lifetime. Each batch runs
-//! as **one** `predict_batch` forward pass, and every request in it gets
-//! its response through its own channel.
+//! loads). Each batch runs as **one** `predict_batch` forward pass, and
+//! every request in it gets its response through its own channel.
 //!
 //! Scaling structure (the v1 pool collapsed to 0.21× sequential at four
 //! workers; each piece below removes one cause):
@@ -24,18 +23,17 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver as StdReceiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ccore::SurrogateSpec;
 use cocean::Snapshot;
-use ctensor::backend::BackendChoice;
 use ctensor::quant::Precision;
-use parking_lot::Mutex;
 
 use crate::cache::ForecastCache;
 use crate::error::ServeError;
+use crate::lock;
 use crate::metrics::MetricsRecorder;
 use crate::request::CacheKey;
 
@@ -98,7 +96,7 @@ impl InflightRegistry {
     /// enqueueing the computation (and must [`Self::take`] to clean up if
     /// that fails).
     pub fn join_or_lead(&self, key: CacheKey, waiter: Waiter) -> Admission {
-        let mut map = self.map.lock();
+        let mut map = lock(&self.map);
         match map.get_mut(&key) {
             Some(waiters) => {
                 waiters.push(waiter);
@@ -114,27 +112,27 @@ impl InflightRegistry {
     /// Remove and return every waiter for `key` (completion path, and the
     /// leader's cleanup path when enqueueing fails).
     pub fn take(&self, key: &CacheKey) -> Vec<Waiter> {
-        self.map.lock().remove(key).unwrap_or_default()
+        lock(&self.map).remove(key).unwrap_or_default()
     }
 }
 
 /// Counting semaphore over `std::sync::{Mutex, Condvar}` bounding how many
-/// forward passes run at once (the parking_lot shim has no Condvar).
+/// forward passes run at once.
 pub(crate) struct ComputeGate {
-    slots: std::sync::Mutex<usize>,
-    cv: std::sync::Condvar,
+    slots: Mutex<usize>,
+    cv: Condvar,
 }
 
 impl ComputeGate {
     fn new(permits: usize) -> Self {
         Self {
-            slots: std::sync::Mutex::new(permits.max(1)),
-            cv: std::sync::Condvar::new(),
+            slots: Mutex::new(permits.max(1)),
+            cv: Condvar::new(),
         }
     }
 
     fn acquire(&self) -> ComputePermit<'_> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = lock(&self.slots);
         while *slots == 0 {
             slots = self.cv.wait(slots).unwrap_or_else(|e| e.into_inner());
         }
@@ -149,7 +147,7 @@ pub(crate) struct ComputePermit<'a> {
 
 impl Drop for ComputePermit<'_> {
     fn drop(&mut self) {
-        let mut slots = self.gate.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = lock(&self.gate.slots);
         *slots += 1;
         self.gate.cv.notify_one();
     }
@@ -175,7 +173,6 @@ impl ReplicaPool {
     pub fn spawn(
         spec: &SurrogateSpec,
         precisions: &[Precision],
-        backend: BackendChoice,
         cache: Arc<ForecastCache>,
         inflight: Arc<InflightRegistry>,
         metrics: Arc<MetricsRecorder>,
@@ -204,8 +201,7 @@ impl ReplicaPool {
                 .name(format!("serve-replica-{w}"))
                 .spawn(move || {
                     replica_main(
-                        w, spec, backend, &batch_rx, &idle_tx, &ready_tx, &gate, &cache, &inflight,
-                        &metrics,
+                        w, spec, &batch_rx, &idle_tx, &ready_tx, &gate, &cache, &inflight, &metrics,
                     )
                 })
                 .expect("spawn replica worker");
@@ -291,7 +287,6 @@ impl Drop for ReplicaPool {
 fn replica_main(
     index: usize,
     spec: SurrogateSpec,
-    backend: BackendChoice,
     batch_rx: &StdReceiver<Vec<PendingRequest>>,
     idle_tx: &Sender<usize>,
     ready_tx: &Sender<()>,
@@ -300,9 +295,6 @@ fn replica_main(
     inflight: &InflightRegistry,
     metrics: &MetricsRecorder,
 ) {
-    // Pin this replica's compute backend for its whole lifetime; the
-    // model's own `Auto` resolution then lands on this choice.
-    let _backend = ctensor::backend::scoped(backend.resolve());
     let surrogate = spec.instantiate();
     let _ = ready_tx.send(());
     loop {

@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use ccore::SurrogateSpec;
 use cocean::Snapshot;
-use ctensor::backend::BackendChoice;
 use ctensor::quant::Precision;
 
 use crate::batcher::{BatcherConfig, MicroBatcher};
@@ -46,8 +45,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Forecast cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Compute backend every replica pins.
-    pub backend: BackendChoice,
     /// When set, requests whose `scenario_id` differs are rejected as
     /// `BadRequest` (misrouted traffic) instead of being silently
     /// answered by this deployment's model. `None` accepts any id and
@@ -72,7 +69,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(5),
             queue_capacity: 256,
             cache_capacity: 128,
-            backend: BackendChoice::default(),
             scenario_id: None,
             precision: Precision::F32,
             worker_precisions: None,
@@ -151,10 +147,6 @@ impl ForecastServer {
             capacity: cfg.queue_capacity,
         }));
 
-        // Replicas resolve `Auto` against their own pinned scope, so let
-        // each model defer to the worker's scoped choice.
-        let mut spec = spec;
-        spec.swin.backend = BackendChoice::Auto;
         let t_out = spec.t_out();
         let mesh = spec.mesh();
         let precisions: Vec<Precision> = match &cfg.worker_precisions {
@@ -171,7 +163,6 @@ impl ForecastServer {
         let mut pool = ReplicaPool::spawn(
             &spec,
             &precisions,
-            cfg.backend,
             Arc::clone(&cache),
             Arc::clone(&inflight),
             Arc::clone(&metrics),

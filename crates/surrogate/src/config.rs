@@ -1,8 +1,5 @@
 //! Surrogate model configuration.
 
-use ctensor::backend::BackendChoice;
-use serde::{Deserialize, Serialize};
-
 /// 4-D extent (space × time) used for windows and shifts.
 pub type Win4 = [usize; 4];
 
@@ -11,7 +8,7 @@ pub type Win4 = [usize; 4];
 /// Paper defaults (§IV-B): patch 5×5×4 (3-D) / 5×5 (2-D), embed dim 24,
 /// three stages with heads 3/6/12, first window (4,4,2,2) then (2,2,2,2).
 /// The mesh and horizon here default to the scaled test domain.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SwinConfig {
     /// Mesh rows (north-south).
     pub ny: usize,
@@ -35,10 +32,6 @@ pub struct SwinConfig {
     pub window_rest: Win4,
     /// MLP hidden width = `mlp_ratio * dim`.
     pub mlp_ratio: f32,
-    /// Tensor compute backend the model pins for its forward passes.
-    /// `Auto` (default) defers to the ambient selection (scope / global /
-    /// `COASTAL_BACKEND`); `Blocked` and `Scalar` pin explicitly.
-    pub backend: BackendChoice,
 }
 
 impl Default for SwinConfig {
@@ -54,7 +47,6 @@ impl Default for SwinConfig {
             window_first: [4, 4, 2, 2],
             window_rest: [2, 2, 2, 2],
             mlp_ratio: 2.0,
-            backend: BackendChoice::default(),
         }
     }
 }
@@ -73,14 +65,7 @@ impl SwinConfig {
             window_first: [2, 2, 2, 2],
             window_rest: [2, 2, 2, 2],
             mlp_ratio: 1.5,
-            backend: BackendChoice::default(),
         }
-    }
-
-    /// Same config pinned to a different compute backend.
-    pub fn with_backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Number of encoder stages.

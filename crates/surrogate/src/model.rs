@@ -169,11 +169,7 @@ impl SwinSurrogate {
     ///
     /// Returns `(pred3d, pred2d)`: `(B, 3, ny, nx, nz, T)` and
     /// `(B, 1, ny, nx, T)` — the T forecast frames.
-    ///
-    /// The whole pass runs under the backend this model's config selects
-    /// (`cfg.backend`), overriding the thread's default for its duration.
     pub fn forward(&self, g: &mut Graph, x3d: Var, x2d: Var) -> (Var, Var) {
-        let _backend = ctensor::backend::scoped(self.cfg.backend.resolve());
         let cfg = &self.cfg;
         let t_in = cfg.t_in();
         {

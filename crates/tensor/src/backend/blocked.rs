@@ -16,9 +16,8 @@
 //! The transcendental elementwise kernels (`gelu`, `gelu_grad`, `exp`,
 //! `tanh`), row softmax, fused attention, and the GEBP microkernel route
 //! through [`crate::simd`]: 8-wide AVX2+FMA lanes when the CPU has them,
-//! an exactly-libm scalar fallback otherwise (`COASTAL_SIMD=scalar`
-//! forces the fallback; [`Blocked::with_simd`] pins it per instance for
-//! parity tests).
+//! an exactly-libm scalar fallback otherwise ([`Blocked::with_simd`]
+//! pins it per instance for parity tests).
 //!
 //! Every kernel is **bitwise thread-count invariant**: the same input
 //! yields the same bits at 1, 2, 4, or any number of rayon threads.
@@ -40,8 +39,8 @@ use rayon::prelude::*;
 use super::{AttentionSpec, Backend, BinaryOp, MatmulSpec, UnaryOp};
 use crate::simd::{self, SimdLevel};
 
-/// Default parallelism threshold (elements) — overridable per instance and
-/// via `COASTAL_PAR_THRESHOLD`.
+/// Parallelism threshold (elements) of the process default; tests pin
+/// other values per instance.
 pub const DEFAULT_PAR_THRESHOLD: usize = 32 * 1024;
 
 /// Microkernel tile: MR rows of A × NR columns of B held in registers.
@@ -71,20 +70,14 @@ pub struct Blocked {
 
 impl Default for Blocked {
     fn default() -> Self {
-        Self {
-            par_threshold: DEFAULT_PAR_THRESHOLD,
-            simd: simd::level(),
-        }
+        Self::new(DEFAULT_PAR_THRESHOLD)
     }
 }
 
 impl Blocked {
     /// Backend with an explicit parallelism threshold (elements).
     pub fn new(par_threshold: usize) -> Self {
-        Self {
-            par_threshold: par_threshold.max(1),
-            simd: simd::level(),
-        }
+        Self::with_simd(par_threshold, simd::level())
     }
 
     /// Backend with a pinned SIMD level — the kernel-parity tests use this
@@ -94,21 +87,6 @@ impl Blocked {
             par_threshold: par_threshold.max(1),
             simd: level,
         }
-    }
-
-    /// Default threshold unless `COASTAL_PAR_THRESHOLD` overrides it.
-    pub fn from_env() -> Self {
-        let t = std::env::var("COASTAL_PAR_THRESHOLD")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_PAR_THRESHOLD);
-        Self::new(t)
-    }
-
-    /// The SIMD level this instance dispatches to.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
     }
 
     #[inline]
@@ -1217,12 +1195,6 @@ mod tests {
         let mut empty: Vec<f32> = vec![];
         Blocked::default().softmax_rows(&[], &mut empty, 0);
         ScalarRef.softmax_rows(&[], &mut empty, 0);
-    }
-
-    #[test]
-    fn env_threshold_constructor() {
-        let b = Blocked::new(7);
-        assert_eq!(b.par_threshold(), 7);
     }
 
     #[test]

@@ -11,26 +11,29 @@
 //!   variants that avoid the one-allocation-per-op pattern.
 //!
 //! Dispatch happens once per kernel call (an `Arc<dyn Backend>` virtual
-//! call), never per element. Selection is layered:
+//! call), never per element. [`current`] picks the backend in two steps:
 //!
-//! 1. a thread-local scope stack ([`scoped`]) — used by models/trainers to
-//!    pin a backend for one forward/backward pass;
-//! 2. the process-wide default ([`set_global`]);
-//! 3. the environment: `COASTAL_BACKEND=scalar|blocked` (default `blocked`),
-//!    with `COASTAL_PAR_THRESHOLD=<elems>` tuning when [`Blocked`] kernels
-//!    go parallel.
+//! 1. the innermost [`scoped`] guard on this thread, if any — how the
+//!    oracle suites run a model or trainer under [`ScalarRef`];
+//! 2. otherwise the one process-wide [`Blocked`], built on first use
+//!    (wrapped in [`Profiled`] when `COASTAL_PROFILE=1`).
+//!
+//! The trait has no default bodies: a wrapper such as [`Profiled`] that
+//! forgets a kernel fails to compile instead of silently running the
+//! scalar loop in place of a [`Blocked`] override.
 
 mod blocked;
 mod profiled;
 mod scalar;
 
 pub use blocked::Blocked;
-pub use profiled::{maybe_profile, profile_requested, Profiled};
+use profiled::maybe_profile;
+pub use profiled::Profiled;
 pub use scalar::ScalarRef;
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 // ----------------------------------------------------------------- errors
 
@@ -230,22 +233,13 @@ pub trait Backend: Send + Sync + fmt::Debug {
     fn unary(&self, op: UnaryOp, x: &[f32], out: &mut [f32]);
 
     /// `x[i] = op(x[i])` — fused in-place variant (no allocation).
-    fn unary_inplace(&self, op: UnaryOp, x: &mut [f32]) {
-        // Default: serial in-place loop; backends may parallelize.
-        for v in x.iter_mut() {
-            *v = op.apply(*v);
-        }
-    }
+    fn unary_inplace(&self, op: UnaryOp, x: &mut [f32]);
 
     /// `out[i] = op(a[i], b[i])` for equal-shape operands.
     fn binary(&self, op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]);
 
     /// `acc[i] = op(acc[i], b[i])` in place for equal-shape operands.
-    fn binary_inplace(&self, op: BinaryOp, acc: &mut [f32], b: &[f32]) {
-        for (x, &y) in acc.iter_mut().zip(b) {
-            *x = op.apply(*x, y);
-        }
-    }
+    fn binary_inplace(&self, op: BinaryOp, acc: &mut [f32], b: &[f32]);
 
     /// Broadcast elementwise: `sa`/`sb` are per-output-dim strides into the
     /// operands (0 on broadcast dims), `out` is dense over `out_shape`.
@@ -283,128 +277,41 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
     // ------------------------------------------------------- backward kernels
     //
-    // Adjoints of the forward kernels above, with serial reference default
-    // bodies (the oracle `ScalarRef` inherits these; `Blocked` overrides
-    // them with blocked/SIMD/parallel implementations). All outputs are
-    // accumulated into (callers pre-zero or seed them), and every override
-    // must keep results bitwise invariant under the rayon thread count.
+    // Adjoints of the forward kernels above (`ScalarRef` holds the serial
+    // reference loops, `Blocked` the blocked/SIMD/parallel ones). All
+    // outputs are accumulated into (callers pre-zero or seed them), and
+    // every implementation must keep results bitwise invariant under the
+    // rayon thread count.
 
     /// Matmul adjoint w.r.t. A: `da[bi] += dc[bi] · B[bo]ᵀ` per output
     /// batch, where `spec` is the *forward* geometry (`m,k,n`,
     /// `batch_offsets`; `bias` is ignored). `da` holds one dense `m×k`
     /// matrix per entry of `spec.batch_offsets` — broadcast batch
     /// reduction happens in the tensor layer.
-    fn matmul_grad_a(&self, dc: &[f32], b: &[f32], da: &mut [f32], spec: &MatmulSpec) {
-        let (m, k, n) = (spec.m, spec.k, spec.n);
-        for (bi, &(_, bo)) in spec.batch_offsets.iter().enumerate() {
-            let dc_mat = &dc[bi * m * n..(bi + 1) * m * n];
-            let b_mat = &b[bo * k * n..(bo + 1) * k * n];
-            let da_mat = &mut da[bi * m * k..(bi + 1) * m * k];
-            for i in 0..m {
-                for kk in 0..k {
-                    let mut acc = 0.0f32;
-                    for j in 0..n {
-                        acc += dc_mat[i * n + j] * b_mat[kk * n + j];
-                    }
-                    da_mat[i * k + kk] += acc;
-                }
-            }
-        }
-    }
+    fn matmul_grad_a(&self, dc: &[f32], b: &[f32], da: &mut [f32], spec: &MatmulSpec);
 
     /// Matmul adjoint w.r.t. B: `db[bi] += A[ao]ᵀ · dc[bi]` per output
     /// batch (dense `k×n` matrices; same conventions as
     /// [`Backend::matmul_grad_a`]).
-    fn matmul_grad_b(&self, a: &[f32], dc: &[f32], db: &mut [f32], spec: &MatmulSpec) {
-        let (m, k, n) = (spec.m, spec.k, spec.n);
-        for (bi, &(ao, _)) in spec.batch_offsets.iter().enumerate() {
-            let a_mat = &a[ao * m * k..(ao + 1) * m * k];
-            let dc_mat = &dc[bi * m * n..(bi + 1) * m * n];
-            let db_mat = &mut db[bi * k * n..(bi + 1) * k * n];
-            for kk in 0..k {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for i in 0..m {
-                        acc += a_mat[i * k + kk] * dc_mat[i * n + j];
-                    }
-                    db_mat[kk * n + j] += acc;
-                }
-            }
-        }
-    }
+    fn matmul_grad_b(&self, a: &[f32], dc: &[f32], db: &mut [f32], spec: &MatmulSpec);
 
     /// Column sums over rows of length `row`: `out[j] += Σ_i x[i·row + j]`
     /// (the linear-bias gradient and leading-axis reduction kernel).
     /// Accumulation runs in row order for every column.
-    fn col_sums(&self, x: &[f32], out: &mut [f32], row: usize) {
-        if row == 0 {
-            return;
-        }
-        for r in x.chunks_exact(row) {
-            for (o, &v) in out.iter_mut().zip(r) {
-                *o += v;
-            }
-        }
-    }
+    fn col_sums(&self, x: &[f32], out: &mut [f32], row: usize);
 
     /// Row sums: `out[i] += Σ_j x[i·row + j]` (trailing-axis reduction
     /// kernel), serial f32 accumulation within each row.
-    fn row_sums(&self, x: &[f32], out: &mut [f32], row: usize) {
-        if row == 0 {
-            return;
-        }
-        for (o, r) in out.iter_mut().zip(x.chunks_exact(row)) {
-            *o += r.iter().sum::<f32>();
-        }
-    }
+    fn row_sums(&self, x: &[f32], out: &mut [f32], row: usize);
 
     /// Softmax backward per row: given `y = softmax(x)` and upstream `dy`,
     /// `dx = (dy − Σ_j dy_j·y_j) ⊙ y`.
-    fn softmax_grad_rows(&self, y: &[f32], dy: &[f32], dx: &mut [f32], row: usize) {
-        if row == 0 {
-            return;
-        }
-        for ((yr, dyr), dxr) in y
-            .chunks_exact(row)
-            .zip(dy.chunks_exact(row))
-            .zip(dx.chunks_exact_mut(row))
-        {
-            let s: f32 = yr.iter().zip(dyr).map(|(&a, &b)| a * b).sum();
-            for ((o, &yv), &dv) in dxr.iter_mut().zip(yr).zip(dyr) {
-                *o = (dv - s) * yv;
-            }
-        }
-    }
+    fn softmax_grad_rows(&self, y: &[f32], dy: &[f32], dx: &mut [f32], row: usize);
 
     /// Backward of [`Backend::layernorm_rows`] (no affine). Per-row stats
     /// are recomputed from `x`, then with `x̂ = (x − μ)·inv`:
     /// `dx = inv·(dy − mean(dy) − x̂·mean(dy ⊙ x̂))`.
-    fn layernorm_grad_rows(&self, x: &[f32], dy: &[f32], dx: &mut [f32], row: usize, eps: f32) {
-        if row == 0 {
-            return;
-        }
-        let inv_n = 1.0 / row as f32;
-        for ((xr, dyr), dxr) in x
-            .chunks_exact(row)
-            .zip(dy.chunks_exact(row))
-            .zip(dx.chunks_exact_mut(row))
-        {
-            let mean = xr.iter().sum::<f32>() * inv_n;
-            let var = xr.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() * inv_n;
-            let inv = 1.0 / (var + eps).sqrt();
-            let mut a = 0.0f32; // Σ dy
-            let mut b = 0.0f32; // Σ dy·x̂
-            for (&dv, &xv) in dyr.iter().zip(xr) {
-                a += dv;
-                b += dv * (xv - mean) * inv;
-            }
-            a *= inv_n;
-            b *= inv_n;
-            for ((o, &dv), &xv) in dxr.iter_mut().zip(dyr).zip(xr) {
-                *o = inv * (dv - a - (xv - mean) * inv * b);
-            }
-        }
-    }
+    fn layernorm_grad_rows(&self, x: &[f32], dy: &[f32], dx: &mut [f32], row: usize, eps: f32);
 
     /// Backward of the fused attention kernel. Probabilities are recomputed
     /// from `q`/`k`/mask (only `O(n²)` scratch per batch-head, never a
@@ -422,237 +329,54 @@ pub trait Backend: Send + Sync + fmt::Debug {
         dk: &mut [f32],
         dv: &mut [f32],
         spec: &AttentionSpec,
-    ) {
-        let (n, d) = (spec.n, spec.d);
-        let mat = n * d;
-        if mat == 0 {
-            return;
-        }
-        let mut probs = vec![0.0f32; n * n];
-        let mut ds = vec![0.0f32; n];
-        for bh in 0..spec.batch {
-            let qm = &q[bh * mat..(bh + 1) * mat];
-            let km = &k[bh * mat..(bh + 1) * mat];
-            let vm = &v[bh * mat..(bh + 1) * mat];
-            let dom = &dout[bh * mat..(bh + 1) * mat];
-            // Recompute P = softmax(Q·Kᵀ·scale + mask) row by row.
-            for i in 0..n {
-                let q_row = &qm[i * d..(i + 1) * d];
-                let mask_row = spec.mask_row(bh, i);
-                let p_row = &mut probs[i * n..(i + 1) * n];
-                for (j, s) in p_row.iter_mut().enumerate() {
-                    let k_row = &km[j * d..(j + 1) * d];
-                    let mut acc = 0.0f32;
-                    for c in 0..d {
-                        acc += q_row[c] * k_row[c];
-                    }
-                    *s = acc * spec.scale + mask_row.map_or(0.0, |mr| mr[j]);
-                }
-                let mx = p_row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut denom = 0.0f32;
-                for s in p_row.iter_mut() {
-                    *s = (*s - mx).exp();
-                    denom += *s;
-                }
-                let inv = 1.0 / denom;
-                for s in p_row.iter_mut() {
-                    *s *= inv;
-                }
-            }
-            let dqm = &mut dq[bh * mat..(bh + 1) * mat];
-            let dkm = &mut dk[bh * mat..(bh + 1) * mat];
-            let dvm = &mut dv[bh * mat..(bh + 1) * mat];
-            for i in 0..n {
-                let p_row = &probs[i * n..(i + 1) * n];
-                let do_row = &dom[i * d..(i + 1) * d];
-                // dV += P_i ⊗ dO_i ; dP_ij = dO_i · V_j.
-                let mut srow = 0.0f32;
-                for (j, dsj) in ds.iter_mut().enumerate() {
-                    let v_row = &vm[j * d..(j + 1) * d];
-                    let mut acc = 0.0f32;
-                    for c in 0..d {
-                        dvm[j * d + c] += p_row[j] * do_row[c];
-                        acc += do_row[c] * v_row[c];
-                    }
-                    *dsj = acc;
-                    srow += acc * p_row[j];
-                }
-                // dS_ij = (dP_ij − Σ_j dP⊙P) · P_ij · scale, then
-                // dQ_i += dS_i · K ; dK_j += dS_ij · Q_i.
-                let q_row = &qm[i * d..(i + 1) * d];
-                for (j, dsj) in ds.iter().enumerate() {
-                    let w = (dsj - srow) * p_row[j] * spec.scale;
-                    let k_row = &km[j * d..(j + 1) * d];
-                    for c in 0..d {
-                        dqm[i * d + c] += w * k_row[c];
-                        dkm[j * d + c] += w * q_row[c];
-                    }
-                }
-            }
-        }
-    }
+    );
 
     // ---------------------------------------------------- quantized inference
 
     /// Fused int8 linear: `out[m, n] = dequant(qx · qW) + bias`, where the
     /// activations were dynamically quantized with
     /// [`crate::quant::quantize_acts`] and the weight packed by
-    /// [`crate::quant::QuantizedTensor::quantize`]. The default body is the
-    /// serial scalar oracle; [`Blocked`] overrides it with the AVX2
-    /// `maddubs` microkernel and a deterministic row-parallel split (the
-    /// integer accumulation is exact, so outputs are bitwise identical
-    /// across backends and thread counts).
+    /// [`crate::quant::QuantizedTensor::quantize`]. [`ScalarRef`] runs the
+    /// serial scalar oracle; [`Blocked`] the AVX2 `maddubs` microkernel
+    /// with a deterministic row-parallel split (the integer accumulation
+    /// is exact, so outputs are bitwise identical across backends and
+    /// thread counts).
     fn qlinear_i8(
         &self,
         acts: &crate::quant::QuantActs,
         w: &crate::quant::QuantizedTensor,
         bias: Option<&[f32]>,
         out: &mut [f32],
-    ) {
-        crate::quant::qgemm(crate::simd::SimdLevel::Scalar, acts, w, bias, out, false);
-    }
+    );
 
     // ------------------------------------------------- fused optimizer steps
 
     /// One fused Adam/AdamW update over a parameter slice: updates `m`,
     /// `v`, and `p` in a single pass with no temporaries.
-    fn adam_step(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], s: &AdamStepSpec) {
-        for i in 0..p.len() {
-            let gi = g[i];
-            m[i] = m[i] * s.beta1 + gi * (1.0 - s.beta1);
-            v[i] = v[i] * s.beta2 + gi * gi * (1.0 - s.beta2);
-            let m_hat = m[i] * (1.0 / s.bc1);
-            let v_hat = v[i] * (1.0 / s.bc2);
-            let update = s.lr * (m_hat / (v_hat.sqrt() + s.eps));
-            // Decoupled decay reads the pre-update weight (AdamW).
-            let decay = s.lr * s.weight_decay * p[i];
-            p[i] = p[i] - update - decay;
-        }
-    }
+    fn adam_step(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], s: &AdamStepSpec);
 
     /// One fused SGD(+momentum) update: `vel = momentum·vel + g` (when
     /// `vel` is present), `p −= lr·vel` — single pass, no temporaries.
-    fn sgd_step(&self, p: &mut [f32], g: &[f32], vel: Option<&mut [f32]>, lr: f32, momentum: f32) {
-        match vel {
-            Some(vel) => {
-                for i in 0..p.len() {
-                    vel[i] = vel[i] * momentum + g[i];
-                    p[i] -= lr * vel[i];
-                }
-            }
-            None => {
-                for (pv, &gv) in p.iter_mut().zip(g) {
-                    *pv -= lr * gv;
-                }
-            }
-        }
-    }
+    fn sgd_step(&self, p: &mut [f32], g: &[f32], vel: Option<&mut [f32]>, lr: f32, momentum: f32);
 }
 
 // -------------------------------------------------------------- selection
-
-static GLOBAL: RwLock<Option<Arc<dyn Backend>>> = RwLock::new(None);
 
 thread_local! {
     static SCOPE_STACK: RefCell<Vec<Arc<dyn Backend>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Process default from the environment (`COASTAL_BACKEND`), computed once.
-fn env_default() -> Arc<dyn Backend> {
-    static D: OnceLock<Arc<dyn Backend>> = OnceLock::new();
-    D.get_or_init(|| {
-        maybe_profile(match std::env::var("COASTAL_BACKEND").as_deref() {
-            Ok("scalar") | Ok("scalar_ref") | Ok("ref") => Arc::new(ScalarRef),
-            // Unknown names fall back to the fast path: kernels must never
-            // silently disappear because of a typo'd env var.
-            _ => Arc::new(Blocked::from_env()) as Arc<dyn Backend>,
-        })
-    })
-    .clone()
-}
-
-/// The backend active on this thread: innermost [`scoped`] override, else
-/// the global default, else the environment default ([`Blocked`]).
+/// The backend active on this thread: the innermost [`scoped`] guard,
+/// else the process-wide [`Blocked`].
 pub fn current() -> Arc<dyn Backend> {
-    if let Some(b) = SCOPE_STACK.with(|s| s.borrow().last().cloned()) {
-        return b;
-    }
-    if let Some(b) = GLOBAL.read().unwrap_or_else(|e| e.into_inner()).clone() {
-        return b;
-    }
-    env_default()
-}
-
-/// Replace the process-wide default backend.
-pub fn set_global(b: Arc<dyn Backend>) {
-    *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = Some(b);
-}
-
-/// Look up a backend by name (`"scalar"` / `"blocked"`).
-pub fn by_name(name: &str) -> Result<Arc<dyn Backend>, String> {
-    match name {
-        "scalar" | "scalar_ref" | "ref" => Ok(maybe_profile(Arc::new(ScalarRef))),
-        "blocked" | "default" | "fast" => Ok(maybe_profile(Arc::new(Blocked::from_env()))),
-        other => Err(format!(
-            "unknown backend '{other}' (expected 'scalar' or 'blocked')"
-        )),
-    }
-}
-
-/// Declarative backend selection for configs (`SwinConfig`, trainer and
-/// scenario configs) — resolved to a live backend at use sites.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// Defer to the ambient selection (innermost scope, else the global
-    /// default, else `COASTAL_BACKEND`). The default, so env/global
-    /// selection reaches model and trainer passes unless a config pins
-    /// a backend explicitly.
-    #[default]
-    Auto,
-    /// The blocked/fused/parallel fast path.
-    Blocked,
-    /// The serial reference implementation.
-    Scalar,
-}
-
-impl BackendChoice {
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendChoice::Auto => "auto",
-            BackendChoice::Blocked => "blocked",
-            BackendChoice::Scalar => "scalar",
-        }
-    }
-
-    /// Instantiate the chosen backend (Blocked honors
-    /// `COASTAL_PAR_THRESHOLD`; Auto resolves to [`current`]).
-    ///
-    /// Resolution sits on the hot path (every trainer step / model
-    /// forward), so the explicit variants are memoized.
-    pub fn resolve(self) -> Arc<dyn Backend> {
-        static BLOCKED: OnceLock<Arc<dyn Backend>> = OnceLock::new();
-        static SCALAR: OnceLock<Arc<dyn Backend>> = OnceLock::new();
-        match self {
-            BackendChoice::Auto => current(),
-            BackendChoice::Blocked => BLOCKED
-                .get_or_init(|| maybe_profile(Arc::new(Blocked::from_env())))
-                .clone(),
-            BackendChoice::Scalar => SCALAR
-                .get_or_init(|| maybe_profile(Arc::new(ScalarRef)))
-                .clone(),
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" | "inherit" => Ok(BackendChoice::Auto),
-            "blocked" | "default" | "fast" => Ok(BackendChoice::Blocked),
-            "scalar" | "scalar_ref" | "ref" => Ok(BackendChoice::Scalar),
-            other => Err(format!(
-                "unknown backend '{other}' (expected 'auto', 'scalar' or 'blocked')"
-            )),
-        }
-    }
+    static DEFAULT: OnceLock<Arc<dyn Backend>> = OnceLock::new();
+    SCOPE_STACK
+        .with(|s| s.borrow().last().cloned())
+        .unwrap_or_else(|| {
+            DEFAULT
+                .get_or_init(|| maybe_profile(Arc::new(Blocked::default())))
+                .clone()
+        })
 }
 
 /// RAII guard pinning `b` as this thread's backend until dropped.
@@ -687,19 +411,14 @@ mod tests {
             let _g = scoped(Arc::new(ScalarRef));
             assert_eq!(current().name(), "scalar");
             {
-                let _g2 = scoped(Arc::new(Blocked::from_env()));
+                // The scoped instance itself, not the process default.
+                let _g2 = scoped(Arc::new(Blocked::new(7)));
                 assert_eq!(current().name(), "blocked");
+                assert_eq!(current().par_threshold(), 7);
             }
             assert_eq!(current().name(), "scalar");
         }
         assert_eq!(current().name(), outer);
-    }
-
-    #[test]
-    fn by_name_roundtrip() {
-        assert_eq!(by_name("scalar").unwrap().name(), "scalar");
-        assert_eq!(by_name("blocked").unwrap().name(), "blocked");
-        assert!(by_name("cuda").is_err());
     }
 
     #[test]
@@ -714,9 +433,20 @@ mod tests {
 
     #[test]
     fn scoped_override_is_thread_local() {
+        // The fresh thread asks while this one provably holds the scope.
+        let (held, is_held) = std::sync::mpsc::channel();
+        let fresh = std::thread::spawn(move || {
+            is_held.recv().unwrap();
+            current().name()
+        });
         let _g = scoped(Arc::new(ScalarRef));
         assert_eq!(current().name(), "scalar");
-        let name = std::thread::spawn(|| current().name()).join().unwrap();
-        assert_ne!(name, "scalar", "other threads must not see this scope");
+        held.send(()).unwrap();
+        assert_eq!(
+            fresh.join().unwrap(),
+            "blocked",
+            "a thread without a scope gets the process default"
+        );
+        assert_eq!(current().name(), "scalar");
     }
 }

@@ -6,32 +6,25 @@
 //! traced forecast request shows its backend kernels nested under the
 //! replica compute span.
 //!
-//! Opt-in: [`maybe_profile`] wraps only when `COASTAL_PROFILE=1` (checked
-//! once per process), so the default serving path pays zero per-op cost —
-//! not even a branch, because the un-wrapped `Arc<dyn Backend>` is what
-//! gets installed.
+//! Opt-in: the process default is wrapped only when `COASTAL_PROFILE=1`
+//! (checked once per process), so the default serving path pays zero
+//! per-op cost — not even a branch, because the un-wrapped
+//! `Arc<dyn Backend>` is what gets installed.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use super::{AdamStepSpec, AttentionSpec, Backend, BinaryOp, MatmulSpec, UnaryOp};
 
-/// Whether `COASTAL_PROFILE` asked for kernel attribution (memoized).
-pub fn profile_requested() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        matches!(
-            std::env::var("COASTAL_PROFILE").as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        )
-    })
-}
-
 /// Wrap `b` in a [`Profiled`] when `COASTAL_PROFILE=1`, else return it
-/// unchanged. Applied at every backend construction site, so profiling
-/// follows whichever backend selection wins.
-pub fn maybe_profile(b: Arc<dyn Backend>) -> Arc<dyn Backend> {
-    if profile_requested() {
+/// unchanged. Called once, when [`super::current`] builds the process
+/// default.
+pub(super) fn maybe_profile(b: Arc<dyn Backend>) -> Arc<dyn Backend> {
+    let requested = matches!(
+        std::env::var("COASTAL_PROFILE").as_deref(),
+        Ok("1") | Ok("true") | Ok("on")
+    );
+    if requested {
         Arc::new(Profiled::new(b))
     } else {
         b

@@ -44,7 +44,7 @@ pub mod tensor;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::autograd::{GradBuf, Graph, MemMeter, Param, Var};
-    pub use crate::backend::{Backend, BackendChoice, Blocked, ScalarRef, ShapeError};
+    pub use crate::backend::{Backend, Blocked, ScalarRef, ShapeError};
     pub use crate::f16::F16;
     pub use crate::nn::{
         average_states, load_state_dict, state_dict, BatchNorm, LayerNorm, Linear, Mlp, Module,

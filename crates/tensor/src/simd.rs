@@ -3,9 +3,8 @@
 //! Everything here comes in pairs: an `x86_64` AVX2+FMA implementation
 //! (8-wide `f32` lanes via `std::arch`) and a portable scalar fallback
 //! with identical semantics. Which pair member runs is decided **once**
-//! per process by [`level`] — `is_x86_feature_detected!` at first use,
-//! overridable with `COASTAL_SIMD=scalar` for debugging/bisection — and
-//! callers may also pin a level explicitly (the kernel-parity tests
+//! per process by [`level`] — `is_x86_feature_detected!` at first use —
+//! and callers may also pin a level explicitly (the kernel-parity tests
 //! exercise both paths in one process).
 //!
 //! Numerical contract:
@@ -26,8 +25,7 @@ pub const LANES: usize = 8;
 /// Which instruction set the wide kernels use.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable scalar loops (also the non-x86 and `COASTAL_SIMD=scalar`
-    /// path).
+    /// Portable scalar loops (also the non-x86 path).
     Scalar,
     /// AVX2 + FMA 8-wide lanes.
     Avx2Fma,
@@ -43,20 +41,12 @@ impl SimdLevel {
     }
 }
 
-/// The process-wide SIMD level: hardware detection, unless
-/// `COASTAL_SIMD=scalar` forces the fallback. Cached after first call.
+/// The process-wide SIMD level: hardware detection, cached after the
+/// first call.
 pub fn level() -> SimdLevel {
     use std::sync::OnceLock;
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        if matches!(
-            std::env::var("COASTAL_SIMD").as_deref(),
-            Ok("scalar") | Ok("off") | Ok("0")
-        ) {
-            return SimdLevel::Scalar;
-        }
-        detect()
-    })
+    *LEVEL.get_or_init(detect)
 }
 
 #[cfg(target_arch = "x86_64")]

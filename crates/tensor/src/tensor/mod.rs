@@ -16,9 +16,9 @@ use std::sync::Arc;
 use crate::shape::{self, numel};
 
 /// Element count above which elementwise/layout kernels switch to rayon —
-/// resolved from the active backend, so it is runtime-tunable (the
-/// [`crate::backend::Blocked`] constructor / `COASTAL_PAR_THRESHOLD`) and
-/// `usize::MAX` (never parallel) under [`crate::backend::ScalarRef`].
+/// resolved from the active backend: the [`crate::backend::Blocked`]
+/// instance's threshold, and `usize::MAX` (never parallel) under
+/// [`crate::backend::ScalarRef`].
 #[inline]
 pub(crate) fn par_threshold() -> usize {
     crate::backend::current().par_threshold()

@@ -16,10 +16,9 @@
 //!    at 1/2/4/8 worker threads: identical output bits regardless of
 //!    thread count, which is the determinism guarantee Blocked v2 makes.
 //!
-//! On a host without the wide instruction set (or with
-//! `COASTAL_SIMD=scalar`), the raw-parity properties compare scalar to
-//! scalar — vacuous but harmless; the thread-invariance sweep still
-//! exercises the parallel partitioning logic.
+//! On a host without the wide instruction set, the raw-parity properties
+//! compare scalar to scalar — vacuous but harmless; the thread-invariance
+//! sweep still exercises the parallel partitioning logic.
 
 use std::sync::Arc;
 

@@ -7,11 +7,12 @@
 use coastal::ocean::{run_tiled, Roms};
 use coastal::surrogate::{SwinConfig, SwinSurrogate};
 use coastal::tensor::autograd::Graph;
-use coastal::tensor::backend::BackendChoice;
+use coastal::tensor::backend::{self, ScalarRef};
 use coastal::tensor::init::randn;
 use coastal::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 #[test]
 fn tiled_equals_serial_across_worker_counts() {
@@ -35,31 +36,33 @@ fn tiled_equals_serial_across_worker_counts() {
     }
 }
 
-/// Backend parity on a whole model: the same seeded `SwinSurrogate` pinned
-/// to the `Scalar` oracle and to the `Blocked` fast path produces the same
-/// forecast (within f32 reassociation noise), end to end through embedding,
-/// windowed attention, merges, and decoding.
+/// Backend parity on a whole model: one seeded `SwinSurrogate` run under a
+/// `ScalarRef` scope and on the default `Blocked` fast path produces the
+/// same forecast (within f32 reassociation noise), end to end through
+/// embedding, windowed attention, merges, and decoding.
 #[test]
 fn surrogate_forward_matches_across_backends() {
     let cfg = SwinConfig::tiny(8, 8, 4, 3);
-    let seed = 42;
-    let oracle = SwinSurrogate::new(cfg.clone().with_backend(BackendChoice::Scalar), seed);
-    let fast = SwinSurrogate::new(cfg.clone().with_backend(BackendChoice::Blocked), seed);
+    let model = SwinSurrogate::new(cfg.clone(), 42);
 
     let mut rng = StdRng::seed_from_u64(7);
     let b = 2;
     let x3 = randn(&[b, 3, cfg.ny, cfg.nx, cfg.nz, cfg.t_in()], 0.5, &mut rng);
     let x2 = randn(&[b, 1, cfg.ny, cfg.nx, cfg.t_in()], 0.5, &mut rng);
 
-    let run = |model: &SwinSurrogate| {
+    let run = |expect_backend: &str| {
+        assert_eq!(backend::current().name(), expect_backend);
         let mut g = Graph::inference();
         let a = g.constant(x3.clone());
         let c = g.constant(x2.clone());
         let (o3, o2) = model.forward(&mut g, a, c);
         (g.value(o3).clone(), g.value(o2).clone())
     };
-    let (r3, r2) = run(&oracle);
-    let (f3, f2) = run(&fast);
+    let (r3, r2) = {
+        let _oracle = backend::scoped(Arc::new(ScalarRef));
+        run("scalar")
+    };
+    let (f3, f2) = run("blocked");
 
     let d3 = r3.max_abs_diff(&f3);
     let d2 = r2.max_abs_diff(&f2);
