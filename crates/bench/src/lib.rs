@@ -1,15 +1,18 @@
 //! # coastal-bench
 //!
-//! Harness regenerating every table and figure of the paper's evaluation
-//! on scaled scenarios. Binaries: `table1..table4`, `fig5..fig10`,
-//! `repro_all`, and the `bench_*` bins that write `BENCH_*.json`.
+//! What `benchmark/` (the `BENCHMARK.json` contract) does not measure:
+//! `repro` regenerates the paper's tables and figures on scaled
+//! scenarios, and three gates (`bench_kernels`, `bench_serve`,
+//! `bench_ensemble`) print a table plus one stamped JSON line and exit
+//! non-zero when their own threshold fails.
+
+use std::process::ExitCode;
 
 use ccore::{train_surrogate, Scenario, TrainedSurrogate};
 use cgrid::Grid;
 use cocean::Snapshot;
 
 pub mod stamp;
-pub mod telemetry;
 
 pub use stamp::RunStamp;
 
@@ -26,8 +29,27 @@ pub fn best_of_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// A prepared experiment context shared by the harness binaries:
-/// grid + trained surrogate + train/test archives.
+/// A gate binary's last words: one stamped JSON line on stdout (`fields`
+/// are the bench's own JSON object fields), each failed gate on stderr,
+/// and the exit code CI relies on.
+pub fn finish(bench: &str, backend: &str, fields: &str, failures: &[String]) -> ExitCode {
+    println!(
+        "{{\"bench\": \"{bench}\", {}, {fields}, \"pass\": {}}}",
+        RunStamp::capture(backend).json_fields(),
+        failures.is_empty()
+    );
+    for f in failures {
+        eprintln!("[{bench}] GATE FAILED: {f}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The experiment context every `repro` table and figure shares: grid,
+/// trained surrogate, and the train/test archives they take prefixes of.
 pub struct Context {
     pub scenario: Scenario,
     pub grid: Grid,
@@ -37,14 +59,10 @@ pub struct Context {
 }
 
 impl Context {
-    /// Build the default (small) context with at least `test_len` test
-    /// snapshots of the held-out forcing year.
-    pub fn small(test_len: usize) -> Context {
-        Self::build(Scenario::small(), test_len)
-    }
-
-    /// Build from an explicit scenario.
-    pub fn build(scenario: Scenario, test_len: usize) -> Context {
+    /// Build the default (small) context: the training year, the held-out
+    /// test year, and the surrogate trained on the former.
+    pub fn small() -> Context {
+        let scenario = Scenario::small();
         let grid = scenario.grid();
         eprintln!(
             "[ctx] mesh {}x{}x{} ({} wet cells), t_out={}",
@@ -57,7 +75,7 @@ impl Context {
         eprintln!("[ctx] simulating training year…");
         let train_archive = scenario.simulate_archive(&grid, 0, scenario.train_snapshots);
         eprintln!("[ctx] simulating test year…");
-        let test_archive = scenario.simulate_archive(&grid, 1, test_len.max(scenario.t_out + 1));
+        let test_archive = scenario.simulate_archive(&grid, 1, scenario.test_snapshots);
         eprintln!("[ctx] training surrogate…");
         let trained = train_surrogate(&scenario, &grid, &train_archive);
         eprintln!(
@@ -80,7 +98,7 @@ impl Context {
     }
 }
 
-/// Print a banner shared by all harness binaries.
+/// Print the banner each table and figure opens with.
 pub fn banner(title: &str, paper_ref: &str) {
     println!("================================================================");
     println!("{title}");

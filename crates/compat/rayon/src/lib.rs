@@ -67,7 +67,7 @@ impl std::error::Error for ThreadPoolBuildError {}
 /// a pool, "building the global pool" just records the thread count that
 /// [`split_for_threads`] targets. **Documented divergence from rayon**:
 /// `build_global` may be called repeatedly — the last call wins — which is
-/// what lets `bench_kernels` sweep a threads axis within one process.
+/// what lets the parity tests sweep thread counts within one process.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,

@@ -141,9 +141,9 @@ impl Scenario {
 /// End-to-end parity gates for the reduced-precision inference tiers:
 /// maximum allowed `max |Δζ|` (meters) of an int8 / f16 forecast against
 /// the f32 forward of the same trained model on the standard verification
-/// scenarios. Enforced by `tests/quant_parity.rs`; reported per mode by
-/// `bench_load`. ζ on these scenarios spans O(1 m) of tidal range, so the
-/// int8 gate is ~1% of signal and the f16 gate ~0.1%.
+/// scenarios. Enforced by `tests/quant_parity.rs`. ζ on these scenarios
+/// spans O(1 m) of tidal range, so the int8 gate is ~1% of signal and the
+/// f16 gate ~0.1%.
 pub const ZETA_TOL_INT8: f32 = 2e-2;
 /// See [`ZETA_TOL_INT8`].
 pub const ZETA_TOL_F16: f32 = 2e-3;
