@@ -32,7 +32,6 @@ fn fresh_server(spec: &SurrogateSpec, queue_capacity: usize) -> ForecastServer {
         ServeConfig {
             workers: 2,
             max_batch: 16,
-            max_wait: Duration::from_millis(2),
             queue_capacity,
             cache_capacity: 0,
             scenario_id: None,

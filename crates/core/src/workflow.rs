@@ -141,39 +141,53 @@ impl<'a> HybridForecaster<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{train_surrogate, Scenario};
+    use crate::train::{train_surrogate, Scenario, SurrogateSpec};
     use cphysics::ACCEPTED_THRESHOLD;
+    use std::sync::OnceLock;
 
-    fn setup() -> (Grid, TrainedSurrogate, Vec<Snapshot>, Scenario) {
-        let sc = Scenario::small();
-        let grid = sc.grid();
-        let train = sc.simulate_archive(&grid, 0, 40);
-        let trained = train_surrogate(&sc, &grid, &train);
-        let test = sc.simulate_archive(&grid, 1, 20);
-        (grid, trained, test, sc)
+    type Fixture = (Grid, SurrogateSpec, Vec<Snapshot>, Scenario);
+
+    /// Simulated and trained once for every test here (most of each
+    /// test's cost in a debug build); each test instantiates its own
+    /// model from the spec, since model parameters are thread-local.
+    fn setup() -> (
+        &'static Grid,
+        TrainedSurrogate,
+        &'static Vec<Snapshot>,
+        &'static Scenario,
+    ) {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        let (grid, spec, test, sc) = FIXTURE.get_or_init(|| {
+            let sc = Scenario::small();
+            let grid = sc.grid();
+            let train = sc.simulate_archive(&grid, 0, 40);
+            let spec = train_surrogate(&sc, &grid, &train).spec();
+            let test = sc.simulate_archive(&grid, 1, 20);
+            (grid, spec, test, sc)
+        });
+        (grid, spec.instantiate(), test, sc)
     }
 
     #[test]
     fn strict_threshold_forces_fallback_loose_allows_ai() {
         let (grid, trained, test, sc) = setup();
-        let ocean = sc.ocean_config(&grid, 1);
+        let ocean = sc.ocean_config(grid, 1);
 
         // Absurdly strict: every episode must fall back to the simulator.
         let strict = HybridForecaster::new(
-            &grid,
+            grid,
             &trained,
             ocean.clone(),
             VerifierConfig { threshold: 1e-12 },
         );
-        let r = strict.forecast(&test, 0, 2).unwrap();
+        let r = strict.forecast(test, 0, 2).unwrap();
         assert_eq!(r.episodes_fallback, 2);
         assert_eq!(r.episodes_ai, 0);
         assert!(r.roms_seconds > 0.0);
 
         // Absurdly loose: every episode is accepted from the AI.
-        let loose =
-            HybridForecaster::new(&grid, &trained, ocean, VerifierConfig { threshold: 1e9 });
-        let r = loose.forecast(&test, 0, 2).unwrap();
+        let loose = HybridForecaster::new(grid, &trained, ocean, VerifierConfig { threshold: 1e9 });
+        let r = loose.forecast(test, 0, 2).unwrap();
         assert_eq!(r.episodes_ai, 2);
         assert_eq!(r.episodes_fallback, 0);
         assert_eq!(r.snapshots.len(), 2 * sc.t_out);
@@ -182,12 +196,12 @@ mod tests {
     #[test]
     fn fallback_episodes_satisfy_conservation() {
         let (grid, trained, test, sc) = setup();
-        let ocean = sc.ocean_config(&grid, 1);
-        let fc = HybridForecaster::new(&grid, &trained, ocean, VerifierConfig { threshold: 1e-12 });
-        let r = fc.forecast(&test, 0, 1).unwrap();
+        let ocean = sc.ocean_config(grid, 1);
+        let fc = HybridForecaster::new(grid, &trained, ocean, VerifierConfig { threshold: 1e-12 });
+        let r = fc.forecast(test, 0, 1).unwrap();
         // Simulator output passes the oceanographic threshold.
         let verifier = Verifier::new(
-            &grid,
+            grid,
             VerifierConfig {
                 threshold: ACCEPTED_THRESHOLD,
             },
@@ -202,10 +216,10 @@ mod tests {
     #[test]
     fn short_reference_is_typed_error_not_panic() {
         let (grid, trained, test, sc) = setup();
-        let ocean = sc.ocean_config(&grid, 1);
-        let fc = HybridForecaster::new(&grid, &trained, ocean, VerifierConfig { threshold: 1e9 });
+        let ocean = sc.ocean_config(grid, 1);
+        let fc = HybridForecaster::new(grid, &trained, ocean, VerifierConfig { threshold: 1e9 });
         // 20 test snapshots cannot supply 10 episodes × t_out frames.
-        let err = fc.forecast(&test, 0, 10);
+        let err = fc.forecast(test, 0, 10);
         assert!(matches!(err, Err(ForecastError::ReferenceTooShort { .. })));
         // A mesh mismatch in the window likewise surfaces as an error.
         let mut bad = test.clone();
@@ -226,9 +240,9 @@ mod tests {
     #[test]
     fn timing_fields_populated() {
         let (grid, trained, test, sc) = setup();
-        let ocean = sc.ocean_config(&grid, 1);
-        let fc = HybridForecaster::new(&grid, &trained, ocean, VerifierConfig { threshold: 1e9 });
-        let r = fc.forecast(&test, 0, 2).unwrap();
+        let ocean = sc.ocean_config(grid, 1);
+        let fc = HybridForecaster::new(grid, &trained, ocean, VerifierConfig { threshold: 1e9 });
+        let r = fc.forecast(test, 0, 2).unwrap();
         assert!(r.ai_seconds > 0.0);
         assert!(r.verify_seconds > 0.0);
         assert!(r.total_seconds() >= r.ai_seconds);

@@ -5,7 +5,7 @@
 //! reports through. Dependency-free (std only), so it sits below every
 //! other crate in the workspace graph.
 //!
-//! Three subsystems:
+//! Two subsystems:
 //!
 //! - [`metrics`] — a process-global **metrics registry** of lock-sharded
 //!   [`metrics::Counter`]s, [`metrics::Gauge`]s and log-bucketed
@@ -23,10 +23,6 @@
 //!   admission thread through the batcher to a replica worker. Disabled
 //!   (the default) a span guard is a single atomic load; tracing is
 //!   enabled per process via [`trace::set_enabled`] or `COASTAL_TRACE=1`.
-//!
-//! - [`metrics::Reservoir`] — the bounded latency ring shared with
-//!   `cserve`'s percentile metrics (windowed exact quantiles, O(1) in
-//!   request count).
 //!
 //! Kernel-level profiling (`COASTAL_PROFILE=1`) lives in
 //! `ctensor::backend::Profiled`, which records per-op wall time into this
@@ -60,7 +56,7 @@ pub mod slo;
 pub mod trace;
 
 pub use drift::{DriftBaseline, DriftConfig, DriftEvent, DriftMonitor};
-pub use metrics::{global, Counter, Gauge, Histogram, MetricsSnapshot, Registry, Reservoir};
+pub use metrics::{global, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use recorder::{FlightRecorder, Outcome, RequestRecord};
 pub use slo::{AlertState, Clock, ManualClock, SloEngine, SloSpec, SloStatus, SystemClock};
 pub use trace::{SpanId, TraceHandle, TraceId};

@@ -1,6 +1,6 @@
-//! The metrics registry: lock-sharded counters, gauges, log-bucketed
-//! histograms, and the bounded latency [`Reservoir`], all registered by
-//! static name and snapshot-able as JSON or Prometheus text.
+//! The metrics registry: lock-sharded counters, gauges and log-bucketed
+//! histograms, all registered by static name and snapshot-able as JSON or
+//! Prometheus text.
 //!
 //! Write paths are wait-free after registration: counters add to a
 //! per-thread shard (no shared cache line under contention), gauges and
@@ -236,57 +236,6 @@ impl HistogramSnapshot {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_upper(i), c))
             .collect()
-    }
-}
-
-// -------------------------------------------------------------- reservoir
-
-/// Bounded most-recent-window sample reservoir: once full, the ring
-/// overwrites the oldest sample, so quantiles over [`Reservoir::samples`]
-/// describe the most recent `capacity` observations in O(capacity)
-/// memory regardless of stream length.
-///
-/// This is the exact-percentile companion to [`Histogram`] (which is
-/// unbounded-stream, bucketed): `cserve`'s latency percentiles ride on
-/// it. Not thread-safe by itself — wrap in a lock.
-#[derive(Debug)]
-pub struct Reservoir {
-    buf: Vec<f64>,
-    /// Next overwrite position once the buffer is full.
-    next: usize,
-    capacity: usize,
-}
-
-impl Reservoir {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "reservoir capacity must be >= 1");
-        Self {
-            buf: Vec::new(),
-            next: 0,
-            capacity,
-        }
-    }
-
-    pub fn push(&mut self, v: f64) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(v);
-        } else {
-            self.buf[self.next] = v;
-            self.next = (self.next + 1) % self.capacity;
-        }
-    }
-
-    /// The retained window, unordered.
-    pub fn samples(&self) -> &[f64] {
-        &self.buf
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -605,17 +554,6 @@ mod tests {
         assert!((0.5..=0.5 * 1.5).contains(&p50), "p50 = {p50}");
         assert!((0.99..=0.99 * 1.5).contains(&p99), "p99 = {p99}");
         assert!(p50 <= p99);
-    }
-
-    #[test]
-    fn reservoir_wraps_to_recent_window() {
-        let mut r = Reservoir::new(4);
-        for i in 0..10 {
-            r.push(i as f64);
-        }
-        let mut s = r.samples().to_vec();
-        s.sort_by(f64::total_cmp);
-        assert_eq!(s, vec![6.0, 7.0, 8.0, 9.0]);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! headline at ≥0.95× of the recorder-off run.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::metrics::{bucket_of, bucket_upper, HIST_BUCKETS};
@@ -128,6 +128,9 @@ struct Inner {
     /// Running mean latency of completed requests (spike baseline).
     mean_latency: f64,
     completions: u64,
+    /// Next sequence number. Assigned under the ring lock, so ring order
+    /// and `seq` order are the same order.
+    next_seq: u64,
 }
 
 /// The rolling flight recorder. One process-global instance ([`global`])
@@ -136,7 +139,6 @@ pub struct FlightRecorder {
     capacity: usize,
     policy: AnomalyPolicy,
     enabled: AtomicBool,
-    seq: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -164,13 +166,13 @@ impl FlightRecorder {
             capacity: capacity.max(1),
             policy,
             enabled: AtomicBool::new(true),
-            seq: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 ring: VecDeque::new(),
                 exemplars: vec![None; HIST_BUCKETS],
                 frozen: None,
                 mean_latency: 0.0,
                 completions: 0,
+                next_seq: 0,
             }),
         }
     }
@@ -212,7 +214,10 @@ impl FlightRecorder {
         if !self.enabled() {
             return;
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let trace_json = trace.map(TraceHandle::to_json);
+        let mut inner = lock(&self.inner);
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
         let rec = RequestRecord {
             seq,
             label,
@@ -221,9 +226,8 @@ impl FlightRecorder {
             from_cache,
             coalesced,
             trace_id: trace.map(|t| t.id().0),
-            trace_json: trace.map(TraceHandle::to_json),
+            trace_json,
         };
-        let mut inner = lock(&self.inner);
         if let Some(f) = &mut inner.frozen {
             f.dropped += 1;
             crate::counter!("obs.recorder.dropped_while_frozen").inc();
@@ -282,8 +286,9 @@ impl FlightRecorder {
     /// the drift watchdog). Idempotent: the first freeze's reason and
     /// ring contents win.
     pub fn freeze(&self, reason: &str) {
-        let at_seq = self.seq.load(Ordering::Relaxed);
-        Self::freeze_locked(&mut lock(&self.inner), reason.to_string(), at_seq);
+        let mut inner = lock(&self.inner);
+        let at_seq = inner.next_seq;
+        Self::freeze_locked(&mut inner, reason.to_string(), at_seq);
     }
 
     /// Resume recording after an incident. The ring keeps its contents

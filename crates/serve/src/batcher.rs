@@ -1,30 +1,28 @@
 //! Dynamic micro-batching queue.
 //!
-//! Requests accumulate in a bounded two-class (priority) queue; a batch
-//! is released as soon as **either** `max_batch` items are pending
-//! (size trigger) **or** the oldest pending item has waited `max_wait`
-//! (deadline trigger) — the classic dynamic-batching policy of inference
-//! servers: large batches under load for throughput, prompt flushes when
-//! idle for latency.
+//! Requests accumulate in a bounded two-class (priority) queue and leave
+//! it work-conserving: [`MicroBatcher::next_ready`] takes up to
+//! `max_batch` of whatever is pending as soon as anything is. The caller
+//! asks only when a replica is idle, so batches grow under load (requests
+//! pile up while every replica is busy) and a lone request never waits
+//! on a deadline while compute sits idle.
 //!
 //! Admission is bounded: pushes beyond `capacity` fail with
 //! [`ServeError::Overloaded`] instead of growing the queue without limit.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::error::ServeError;
 use crate::lock;
 use crate::request::Priority;
 
-/// Flush policy and admission bound of a [`MicroBatcher`].
+/// Batch size cap and admission bound of a [`MicroBatcher`].
 #[derive(Clone, Debug)]
 pub struct BatcherConfig {
-    /// Flush as soon as this many items are pending.
+    /// Largest batch one [`MicroBatcher::next_ready`] takes.
     pub max_batch: usize,
-    /// Flush when the oldest pending item has waited this long.
-    pub max_wait: Duration,
     /// Admission bound: pushes beyond this many pending items are
     /// rejected with `Overloaded`.
     pub capacity: usize,
@@ -34,7 +32,6 @@ impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            max_wait: Duration::from_millis(5),
             capacity: 256,
         }
     }
@@ -49,16 +46,6 @@ struct QueueState<T> {
 impl<T> QueueState<T> {
     fn total(&self) -> usize {
         self.high.len() + self.normal.len()
-    }
-
-    /// Arrival time of the oldest pending item.
-    fn oldest(&self) -> Option<Instant> {
-        match (self.high.front(), self.normal.front()) {
-            (Some(&(a, _)), Some(&(b, _))) => Some(a.min(b)),
-            (Some(&(a, _)), None) => Some(a),
-            (None, Some(&(b, _))) => Some(b),
-            (None, None) => None,
-        }
     }
 }
 
@@ -121,49 +108,16 @@ impl<T> MicroBatcher<T> {
         self.cfg.capacity
     }
 
-    /// Block until a batch is ready and take it (high priority first,
-    /// FIFO within each class). Returns `None` once the queue is closed
-    /// *and* fully drained — the consumer's shutdown signal.
-    pub fn next_batch(&self) -> Option<Vec<T>> {
-        let mut st = lock(&self.state);
-        loop {
-            if st.total() == 0 {
-                if st.closed {
-                    return None;
-                }
-                st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            // Flush triggers: batch full, queue closed (drain promptly),
-            // or the oldest item's deadline has passed.
-            if st.total() >= self.cfg.max_batch || st.closed {
-                break;
-            }
-            let deadline = st.oldest().expect("non-empty queue") + self.cfg.max_wait;
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (g, _) = self
-                .cond
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-        }
-        Some(Self::take_locked(&mut st, self.cfg.max_batch))
-    }
-
     /// Work-conserving flush: block only until **anything** is pending,
-    /// then take up to `max_batch` immediately — no `max_wait` stall.
+    /// then take up to `max_batch` immediately (high priority first, FIFO
+    /// within each class).
     ///
     /// This is the consumer for token-first dispatch: the caller acquires
     /// an idle worker *before* asking for a batch, so whenever compute
-    /// capacity is free the queue flushes instantly (a lone request never
-    /// idles against its deadline while a worker sits empty — the
-    /// `workers=2` distinct-request regression). While every worker is
+    /// capacity is free the queue flushes instantly. While every worker is
     /// busy the caller isn't asking, and requests pile into full
     /// `max_batch` flushes on their own. Returns `None` once closed and
-    /// drained.
+    /// drained — the consumer's shutdown signal.
     pub fn next_ready(&self) -> Option<Vec<T>> {
         let mut st = lock(&self.state);
         while st.total() == 0 {
@@ -189,10 +143,10 @@ impl<T> MicroBatcher<T> {
     }
 
     /// Move every queued `Normal`-class item matching `pred` into the
-    /// `High` class, keeping its arrival time (so its flush deadline is
-    /// unchanged). Used when a high-priority duplicate coalesces onto a
-    /// normal-priority leader: the shared computation inherits the most
-    /// urgent waiter's class. Returns how many items were promoted.
+    /// `High` class at its arrival-order position. Used when a
+    /// high-priority duplicate coalesces onto a normal-priority leader:
+    /// the shared computation inherits the most urgent waiter's class.
+    /// Returns how many items were promoted.
     pub fn promote_where(&self, pred: impl Fn(&T) -> bool) -> usize {
         let mut st = lock(&self.state);
         let mut promoted = 0;
@@ -209,9 +163,8 @@ impl<T> MicroBatcher<T> {
         st.normal = rest;
         if promoted > 0 {
             // Merge by arrival time: both sequences are arrival-ordered,
-            // and `oldest()` (the deadline trigger) only inspects queue
-            // fronts — appending at the back would silently push a
-            // promoted item's flush deadline out by up to `max_wait`.
+            // so the high class stays FIFO — appending at the back would
+            // put a promoted item behind high items that arrived after it.
             let mut merged = VecDeque::with_capacity(st.high.len() + promoted);
             let mut moved = moved.into_iter().peekable();
             while let Some(at_h) = st.high.front().map(|e| e.0) {
@@ -222,16 +175,12 @@ impl<T> MicroBatcher<T> {
             }
             merged.extend(moved);
             st.high = merged;
-            // An older arrival may now head the high queue: re-evaluate
-            // the consumer's deadline wait.
-            drop(st);
-            self.cond.notify_all();
         }
         promoted
     }
 
     /// Stop admitting new items; consumers drain what is pending, then
-    /// [`Self::next_batch`] returns `None`.
+    /// [`Self::next_ready`] returns `None`.
     pub fn close(&self) {
         lock(&self.state).closed = true;
         self.cond.notify_all();
@@ -241,71 +190,26 @@ impl<T> MicroBatcher<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    fn batcher(max_batch: usize, max_wait_ms: u64, capacity: usize) -> MicroBatcher<u32> {
+    fn batcher(max_batch: usize, capacity: usize) -> MicroBatcher<u32> {
         MicroBatcher::new(BatcherConfig {
             max_batch,
-            max_wait: Duration::from_millis(max_wait_ms),
             capacity,
         })
     }
 
     #[test]
-    fn size_trigger_flushes_before_deadline() {
-        // Deadline is far away (10 s): a full batch must release
-        // immediately on the size trigger.
-        let b = batcher(4, 10_000, 64);
-        for i in 0..4 {
-            b.push(i, Priority::Normal).unwrap();
-        }
-        let t0 = Instant::now();
-        let batch = b.next_batch().unwrap();
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "size-triggered flush must not wait for the deadline"
-        );
-    }
-
-    #[test]
-    fn deadline_trigger_flushes_partial_batch() {
-        // Batch never fills (max 100): the single item must flush once
-        // its deadline passes.
-        let b = Arc::new(batcher(100, 30, 64));
-        b.push(7, Priority::Normal).unwrap();
-        let t0 = Instant::now();
-        let batch = b.next_batch().unwrap();
-        let waited = t0.elapsed();
-        assert_eq!(batch, vec![7]);
-        assert!(waited >= Duration::from_millis(25), "flushed at {waited:?}");
-        assert!(waited < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn consumer_wakes_on_late_push_completing_batch() {
-        let b = Arc::new(batcher(2, 10_000, 64));
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || b2.next_batch().unwrap());
-        b.push(1, Priority::Normal).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        b.push(2, Priority::Normal).unwrap();
-        assert_eq!(h.join().unwrap(), vec![1, 2]);
-    }
-
-    #[test]
     fn high_priority_drains_first() {
-        let b = batcher(3, 10_000, 64);
+        let b = batcher(3, 64);
         b.push(10, Priority::Normal).unwrap();
         b.push(20, Priority::High).unwrap();
         b.push(11, Priority::Normal).unwrap();
-        let batch = b.next_batch().unwrap();
-        assert_eq!(batch, vec![20, 10, 11]);
+        assert_eq!(b.next_ready().unwrap(), vec![20, 10, 11]);
     }
 
     #[test]
     fn promote_moves_items_to_high_class() {
-        let b = batcher(4, 10_000, 64);
+        let b = batcher(4, 64);
         b.push(10, Priority::Normal).unwrap();
         b.push(11, Priority::Normal).unwrap();
         b.push(20, Priority::High).unwrap();
@@ -313,34 +217,13 @@ mod tests {
         assert_eq!(b.promote_where(|&v| v == 99), 0);
         b.push(12, Priority::Normal).unwrap();
         // High class first; within it, arrival order (11 arrived before
-        // 20, so promotion slots it ahead — its deadline is older).
-        assert_eq!(b.next_batch().unwrap(), vec![11, 20, 10, 12]);
-    }
-
-    #[test]
-    fn promotion_preserves_oldest_deadline() {
-        // A normal item promoted behind a younger high item must still
-        // deadline-flush on ITS OWN arrival clock, not the younger one's.
-        let b = batcher(100, 80, 64);
-        b.push(1, Priority::Normal).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        b.push(2, Priority::High).unwrap();
-        b.promote_where(|&v| v == 1);
-        let t0 = Instant::now();
-        let batch = b.next_batch().unwrap();
-        // Flush is driven by item 1's arrival (~40 ms ago): well before
-        // item 2's deadline (80 ms from ~now).
-        assert!(
-            t0.elapsed() < Duration::from_millis(75),
-            "promoted item's deadline must not be pushed out: {:?}",
-            t0.elapsed()
-        );
-        assert_eq!(batch, vec![1, 2]);
+        // 20, so promotion slots it ahead).
+        assert_eq!(b.next_ready().unwrap(), vec![11, 20, 10, 12]);
     }
 
     #[test]
     fn overload_rejected_with_depth() {
-        let b = batcher(16, 10_000, 2);
+        let b = batcher(16, 2);
         b.push(1, Priority::Normal).unwrap();
         b.push(2, Priority::High).unwrap();
         match b.push(3, Priority::Normal) {
@@ -353,7 +236,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_ends() {
-        let b = batcher(16, 10_000, 64);
+        let b = batcher(16, 64);
         b.push(1, Priority::Normal).unwrap();
         b.push(2, Priority::Normal).unwrap();
         b.close();
@@ -361,31 +244,26 @@ mod tests {
             b.push(3, Priority::Normal),
             Err(ServeError::Shutdown)
         ));
-        // Pending items still flush (no deadline wait once closed)…
-        assert_eq!(b.next_batch().unwrap(), vec![1, 2]);
+        // Pending items still flush…
+        assert_eq!(b.next_ready().unwrap(), vec![1, 2]);
         // …then the queue reports end-of-stream.
-        assert!(b.next_batch().is_none());
+        assert!(b.next_ready().is_none());
     }
 
     #[test]
     fn next_ready_flushes_single_item_without_deadline_wait() {
-        // Deadline is far away (10 s): the work-conserving consumer must
-        // still flush a lone item immediately.
-        let b = batcher(16, 10_000, 64);
+        // max_batch is far away: the work-conserving consumer must still
+        // flush a lone item immediately.
+        let b = batcher(16, 64);
         b.push(5, Priority::Normal).unwrap();
-        let t0 = Instant::now();
         assert_eq!(b.next_ready().unwrap(), vec![5]);
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "next_ready must not wait on max_wait"
-        );
         b.close();
         assert!(b.next_ready().is_none());
     }
 
     #[test]
     fn next_ready_respects_max_batch_and_priority() {
-        let b = batcher(2, 10_000, 64);
+        let b = batcher(2, 64);
         b.push(10, Priority::Normal).unwrap();
         b.push(20, Priority::High).unwrap();
         b.push(11, Priority::Normal).unwrap();
@@ -395,14 +273,14 @@ mod tests {
 
     #[test]
     fn oversized_backlog_splits_into_max_batch_chunks() {
-        let b = batcher(3, 10_000, 64);
+        let b = batcher(3, 64);
         for i in 0..7 {
             b.push(i, Priority::Normal).unwrap();
         }
-        assert_eq!(b.next_batch().unwrap().len(), 3);
-        assert_eq!(b.next_batch().unwrap().len(), 3);
+        assert_eq!(b.next_ready().unwrap().len(), 3);
+        assert_eq!(b.next_ready().unwrap().len(), 3);
         b.close();
-        assert_eq!(b.next_batch().unwrap().len(), 1);
-        assert!(b.next_batch().is_none());
+        assert_eq!(b.next_ready().unwrap().len(), 1);
+        assert!(b.next_ready().is_none());
     }
 }

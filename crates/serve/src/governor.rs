@@ -258,6 +258,7 @@ mod tests {
     // parallel #[test]s would race on that shared state.
     #[test]
     fn walks_the_ladder_then_falls_back_then_recovers() {
+        let _serial = crate::lock(&crate::GLOBAL_RECORDER);
         let g = governor();
         assert_eq!(g.route(), ServeRoute::Surrogate(Precision::Int8));
         assert_eq!(g.alert_state(), AlertState::Ok);

@@ -14,23 +14,25 @@
 //!   rounding. Exact buffer sharing happens via single-flight coalescing
 //!   of concurrent identical requests.
 //! - [`MicroBatcher`] — bounded admission queue + dynamic micro-batching.
-//!   Dispatch is work-conserving: an idle replica drains whatever is
-//!   pending immediately; `max_batch`/`max_wait` only shape batches while
-//!   every replica is busy. Saturation is a typed
-//!   [`ServeError::Overloaded`], not unbounded growth.
+//!   Dispatch is work-conserving: an idle replica takes up to `max_batch`
+//!   of whatever is pending immediately, so batches grow only while every
+//!   replica is busy. Saturation is a typed [`ServeError::Overloaded`],
+//!   not unbounded growth.
 //! - [`replica` pool][ForecastServer] — worker threads that each rebuild
 //!   the model from a [`ccore::SurrogateSpec`] (parameters are
 //!   thread-local `Rc`s; the spec's tensors are `Send`). Each batch is
 //!   **one** `predict_batch` forward pass, so throughput scales with
 //!   batch size rather than request count.
-//! - [`ServeMetrics`] — p50/p95/p99 latency, throughput, batch-size
-//!   histogram, cache hit rate.
+//! - [`ServeMetrics`] — request counts, cache hits/misses, batch-size
+//!   histogram. Latency quantiles live in the `cobs` registry's
+//!   `serve.latency_seconds` histogram.
 //!
-//! The **ops plane** rides on the same stack: every terminal request
-//! outcome feeds the global flight recorder and a per-server burn-rate
-//! [SLO engine](cobs::slo), and [`ForecastServer::serve_ops`] starts a
-//! std-only HTTP server ([`OpsServer`]) exposing `/metrics` (Prometheus),
-//! `/metrics.json`, `/healthz`, `/readyz` and `/debug/traces`. The
+//! Every request ends on one path (close trace, record one outcome,
+//! send), which feeds the counters, the global flight recorder and a
+//! per-server burn-rate [SLO engine](cobs::slo). The **ops plane** reads
+//! them: [`ForecastServer::serve_ops`] starts a std-only HTTP server
+//! ([`OpsServer`]) exposing `/metrics` (Prometheus), `/metrics.json`,
+//! `/healthz`, `/readyz` and `/debug/traces`. The
 //! [`DriftGovernor`] closes the loop on model quality: windowed physics
 //! pass-rate / ζ drift steps serving down the precision ladder
 //! (int8 → f16 → f32) and finally to ROMS-fallback routing, all visible
@@ -77,3 +79,8 @@ pub use server::{ForecastServer, ResponseHandle, ServeConfig};
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
+
+/// Serializes unit tests that feed or freeze the process-global flight
+/// recorder, so one test's freeze or burst cannot hide another's records.
+#[cfg(test)]
+pub(crate) static GLOBAL_RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());

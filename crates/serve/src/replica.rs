@@ -28,8 +28,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ccore::SurrogateSpec;
+use cobs::recorder::Outcome;
 use cocean::Snapshot;
-use ctensor::quant::Precision;
 
 use crate::cache::ForecastCache;
 use crate::error::ServeError;
@@ -65,12 +65,29 @@ pub(crate) struct Waiter {
 }
 
 impl Waiter {
-    /// Close this client's trace root (the request reached a terminal
-    /// state). Idempotent, no-op without a trace.
-    pub fn close_trace(&self) {
+    /// The one way a request ends: close the client's trace (the flight
+    /// recorder renders it, and once `wait()` returns it must be
+    /// complete), record one terminal outcome (`Ok` → completed,
+    /// `Overloaded` → rejected, any other error → failed), then send. A
+    /// dropped handle just means nobody is waiting.
+    pub fn finish(
+        self,
+        metrics: &MetricsRecorder,
+        result: Result<Arc<Vec<Snapshot>>, ServeError>,
+        from_cache: bool,
+        coalesced: bool,
+    ) {
         if let Some(t) = &self.trace {
             t.close();
         }
+        let outcome = match &result {
+            Ok(_) => Outcome::Ok,
+            Err(ServeError::Overloaded { .. }) => Outcome::Rejected,
+            Err(_) => Outcome::Failed,
+        };
+        let latency = self.submitted.elapsed();
+        metrics.record_outcome(outcome, latency, from_cache, coalesced, self.trace.as_ref());
+        let _ = self.tx.send(result);
     }
 }
 
@@ -93,7 +110,7 @@ pub(crate) enum Admission {
 
 impl InflightRegistry {
     /// Register a waiter for `key`. `Leader` means the caller owns
-    /// enqueueing the computation (and must [`Self::take`] to clean up if
+    /// enqueueing the computation (and must [`Self::finish`] the key if
     /// that fails).
     pub fn join_or_lead(&self, key: CacheKey, waiter: Waiter) -> Admission {
         let mut map = lock(&self.map);
@@ -109,10 +126,20 @@ impl InflightRegistry {
         }
     }
 
-    /// Remove and return every waiter for `key` (completion path, and the
-    /// leader's cleanup path when enqueueing fails).
-    pub fn take(&self, key: &CacheKey) -> Vec<Waiter> {
-        lock(&self.map).remove(key).unwrap_or_default()
+    /// Release `key` and [`Waiter::finish`] every waiter on it with
+    /// `result`. Waiters are in arrival order, so index 0 is the leader
+    /// and the rest coalesced onto its computation.
+    pub fn finish(
+        &self,
+        key: &CacheKey,
+        metrics: &MetricsRecorder,
+        result: Result<Arc<Vec<Snapshot>>, ServeError>,
+        from_cache: bool,
+    ) {
+        let waiters = lock(&self.map).remove(key).unwrap_or_default();
+        for (i, w) in waiters.into_iter().enumerate() {
+            w.finish(metrics, result.clone(), from_cache, i > 0);
+        }
     }
 }
 
@@ -167,30 +194,28 @@ pub(crate) struct ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Spawn `precisions.len()` workers; worker `w` rebuilds the model at
-    /// `precisions[w]`, so one pool can serve a heterogeneous-precision
-    /// mix (e.g. int8 bulk workers plus one f32 reference worker).
+    /// Spawn `workers` workers, each rebuilding the model from `spec` (at
+    /// `spec`'s precision).
     pub fn spawn(
         spec: &SurrogateSpec,
-        precisions: &[Precision],
+        workers: usize,
         cache: Arc<ForecastCache>,
         inflight: Arc<InflightRegistry>,
         metrics: Arc<MetricsRecorder>,
     ) -> Self {
-        let workers = precisions.len();
         assert!(workers >= 1, "need at least one replica");
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let gate = Arc::new(ComputeGate::new(workers.min(cores)));
         let (idle_tx, idle_rx) = std::sync::mpsc::channel::<usize>();
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
         let mut handles = Vec::with_capacity(workers);
-        for (w, &precision) in precisions.iter().enumerate() {
+        for w in 0..workers {
             // Rendezvous (capacity 0): a send completes only when the
             // worker is receiving, so an idle token always means "this
             // worker is actually waiting", and backpressure flows to the
             // dispatcher the moment no token is available.
             let (batch_tx, batch_rx) = sync_channel::<Vec<PendingRequest>>(0);
-            let spec = spec.clone().with_precision(precision);
+            let spec = spec.clone();
             let cache = Arc::clone(&cache);
             let inflight = Arc::clone(&inflight);
             let metrics = Arc::clone(&metrics);
@@ -351,63 +376,31 @@ fn replica_main(
                 }
             }
         }
+        let outcome = match outcome {
+            // Validation happens at admission, so a forecast error is
+            // unexpected — but it must fail the batch, not the worker.
+            Ok(r) => r.map_err(ServeError::Forecast),
+            Err(payload) => Err(ServeError::Internal(format!(
+                "replica panicked: {}",
+                panic_message(payload.as_ref())
+            ))),
+        };
         match outcome {
-            Ok(Ok(results)) => {
+            Ok(results) => {
                 for (pending, snaps) in batch.into_iter().zip(results) {
                     let value = Arc::new(snaps);
                     // Cache before releasing the in-flight entry so late
                     // duplicates land on one path or the other — never on
                     // a recompute.
                     cache.insert(pending.key, Arc::clone(&value));
-                    // Fan the one computation out to every coalesced
-                    // waiter; a dropped handle just means nobody waits.
-                    // Waiters are in arrival order, so index 0 is the
-                    // leader and the rest coalesced onto its computation.
-                    for (i, w) in inflight.take(&pending.key).into_iter().enumerate() {
-                        // Close before recording/sending: the flight
-                        // recorder renders the span tree at record time,
-                        // and once the client's wait() returns its trace
-                        // must already be complete.
-                        w.close_trace();
-                        metrics.record_completion(
-                            w.submitted.elapsed(),
-                            false,
-                            i > 0,
-                            w.trace.as_ref(),
-                        );
-                        let _ = w.tx.send(Ok(Arc::clone(&value)));
-                    }
+                    inflight.finish(&pending.key, metrics, Ok(value), false);
                 }
             }
-            Ok(Err(e)) => {
-                // Validation happens at admission, so this is unexpected —
-                // but it must fail the batch's requests, not the worker.
-                fail_batch(&batch, inflight, metrics, &ServeError::Forecast(e));
+            Err(e) => {
+                for pending in &batch {
+                    inflight.finish(&pending.key, metrics, Err(e.clone()), false);
+                }
             }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                fail_batch(
-                    &batch,
-                    inflight,
-                    metrics,
-                    &ServeError::Internal(format!("replica panicked: {msg}")),
-                );
-            }
-        }
-    }
-}
-
-fn fail_batch(
-    batch: &[PendingRequest],
-    inflight: &InflightRegistry,
-    metrics: &MetricsRecorder,
-    err: &ServeError,
-) {
-    for pending in batch {
-        for w in inflight.take(&pending.key) {
-            w.close_trace();
-            metrics.record_failure(w.submitted.elapsed(), w.trace.as_ref());
-            let _ = w.tx.send(Err(err.clone()));
         }
     }
 }
@@ -418,4 +411,70 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("opaque panic payload")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finish_closes_trace_records_one_outcome_then_sends() {
+        // Thawed and serialized: no other test's freeze or burst can hide
+        // this test's flight-recorder records.
+        let _serial = lock(&crate::GLOBAL_RECORDER);
+        let recorder = cobs::recorder::global();
+        recorder.thaw();
+        let overloaded = ServeError::Overloaded {
+            depth: 1,
+            capacity: 1,
+        };
+        let cases = [
+            (Ok(Arc::new(Vec::new())), Outcome::Ok),
+            (Err(overloaded), Outcome::Rejected),
+            (Err(ServeError::Shutdown), Outcome::Failed),
+            (Err(ServeError::Internal("boom".into())), Outcome::Failed),
+        ];
+        for (result, outcome) in cases {
+            let metrics = MetricsRecorder::new();
+            let trace = cobs::trace::start("forecast");
+            let (tx, rx) = std::sync::mpsc::channel();
+            // The receiver checks the trace the moment the value arrives.
+            let receiver = {
+                let trace = trace.clone();
+                std::thread::spawn(move || {
+                    let got = rx.recv().expect("finish sends");
+                    (got, trace.span_seconds(trace.root()).is_some())
+                })
+            };
+            let waiter = Waiter {
+                submitted: Instant::now(),
+                tx,
+                trace: Some(trace.clone()),
+            };
+            waiter.finish(&metrics, result.clone(), false, false);
+
+            let (got, closed) = receiver.join().unwrap();
+            assert_eq!(got, result);
+            assert!(closed, "{outcome:?}: trace open when the value arrived");
+            let s = metrics.snapshot((0, 0));
+            let moved = match outcome {
+                Outcome::Ok => (1, 0, 0),
+                Outcome::Rejected => (0, 1, 0),
+                Outcome::Failed => (0, 0, 1),
+            };
+            assert_eq!((s.completed, s.rejected, s.failed), moved, "{outcome:?}");
+            let records: Vec<_> = recorder
+                .records()
+                .into_iter()
+                .filter(|r| r.trace_id == Some(trace.id().0))
+                .collect();
+            assert_eq!(records.len(), 1, "{outcome:?}: one flight record");
+            assert_eq!(records[0].outcome, outcome);
+            let json = records[0].trace_json.as_deref().expect("traced");
+            assert!(
+                !json.contains("\"end_us\": null"),
+                "{outcome:?}: trace recorded before it was closed: {json}"
+            );
+        }
+    }
 }

@@ -39,7 +39,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Micro-batch flush size.
     pub max_batch: usize,
-    /// Micro-batch flush deadline for the oldest pending request.
+    /// Not read: dispatch is work-conserving (an idle replica takes
+    /// whatever is pending at once), so no request waits on a batching
+    /// deadline. Kept for callers that set it until a bounded linger of
+    /// idle workers (ROADMAP item 5) either gives it a meaning or
+    /// deletes it.
     pub max_wait: Duration,
     /// Admission bound on pending (queued, unbatched) requests.
     pub queue_capacity: usize,
@@ -50,15 +54,10 @@ pub struct ServeConfig {
     /// answered by this deployment's model. `None` accepts any id and
     /// treats it purely as a cache namespace.
     pub scenario_id: Option<u64>,
-    /// Numeric precision every replica serves at (unless overridden
-    /// per-worker below). Reduced tiers quantize the model at load time
-    /// and stay within the documented ζ parity gates
-    /// (`ccore::ZETA_TOL_INT8` / `ccore::ZETA_TOL_F16`).
+    /// Numeric precision every replica serves at. Reduced tiers quantize
+    /// the model at load time and stay within the documented ζ parity
+    /// gates (`ccore::ZETA_TOL_INT8` / `ccore::ZETA_TOL_F16`).
     pub precision: Precision,
-    /// Per-worker precision override for heterogeneous pools (e.g. int8
-    /// bulk workers plus an f32 reference worker). Length must equal
-    /// `workers`; `None` gives every worker `precision`.
-    pub worker_precisions: Option<Vec<Precision>>,
 }
 
 impl Default for ServeConfig {
@@ -71,7 +70,6 @@ impl Default for ServeConfig {
             cache_capacity: 128,
             scenario_id: None,
             precision: Precision::F32,
-            worker_precisions: None,
         }
     }
 }
@@ -143,26 +141,14 @@ impl ForecastServer {
         let metrics = Arc::new(MetricsRecorder::new());
         let batcher = Arc::new(MicroBatcher::new(BatcherConfig {
             max_batch: cfg.max_batch,
-            max_wait: cfg.max_wait,
             capacity: cfg.queue_capacity,
         }));
 
         let t_out = spec.t_out();
         let mesh = spec.mesh();
-        let precisions: Vec<Precision> = match &cfg.worker_precisions {
-            Some(v) => {
-                assert_eq!(
-                    v.len(),
-                    cfg.workers,
-                    "worker_precisions length must equal workers"
-                );
-                v.clone()
-            }
-            None => vec![cfg.precision; cfg.workers],
-        };
         let mut pool = ReplicaPool::spawn(
-            &spec,
-            &precisions,
+            &spec.with_precision(cfg.precision),
+            cfg.workers,
             Arc::clone(&cache),
             Arc::clone(&inflight),
             Arc::clone(&metrics),
@@ -173,26 +159,19 @@ impl ForecastServer {
         //
         // Token-first, work-conserving: acquire an idle worker *before*
         // flushing the batcher. With capacity in hand, `next_ready`
-        // releases whatever is pending immediately (no `max_wait` stall —
-        // the source of the old workers=2 distinct-request regression);
-        // while every worker is busy we aren't flushing, so requests
-        // accumulate into full `max_batch` batches on their own.
+        // releases whatever is pending immediately; while every worker is
+        // busy we aren't flushing, so requests accumulate into full
+        // `max_batch` batches on their own.
         let dispatcher = {
             let batcher = Arc::clone(&batcher);
             let inflight = Arc::clone(&inflight);
             let metrics = Arc::clone(&metrics);
-            let fail = move |batch: Vec<PendingRequest>,
-                             inflight: &InflightRegistry,
-                             metrics: &MetricsRecorder| {
-                // Workers are gone; fail the batch cleanly — and account
-                // for it, so completed + failed + rejected still covers
-                // every admitted request during the shutdown race.
+            // Workers are gone: fail the batch cleanly, so completed +
+            // failed + rejected still covers every admitted request during
+            // the shutdown race.
+            let fail = move |batch: Vec<PendingRequest>| {
                 for p in batch {
-                    for w in inflight.take(&p.key) {
-                        w.close_trace();
-                        metrics.record_failure(w.submitted.elapsed(), w.trace.as_ref());
-                        let _ = w.tx.send(Err(ServeError::Shutdown));
-                    }
+                    inflight.finish(&p.key, &metrics, Err(ServeError::Shutdown), false);
                 }
             };
             std::thread::Builder::new()
@@ -203,7 +182,7 @@ impl ForecastServer {
                             // Every worker exited: drain and fail what's
                             // still queued.
                             while let Some(batch) = batcher.next_ready() {
-                                fail(batch, &inflight, &metrics);
+                                fail(batch);
                             }
                             break;
                         };
@@ -211,7 +190,7 @@ impl ForecastServer {
                             break; // closed and drained
                         };
                         if let Err(orphaned) = pool.send_to(w, batch) {
-                            fail(orphaned, &inflight, &metrics);
+                            fail(orphaned);
                         }
                     }
                     pool.shutdown();
@@ -260,35 +239,29 @@ impl ForecastServer {
         let key = req.cache_key();
 
         let (tx, rx) = mpsc::channel();
-        let probe = {
-            let _s = cobs::span!("submit.cache_probe");
-            self.cache.get(&key)
+        let handle = |from_cache, coalesced| ResponseHandle {
+            rx,
+            from_cache,
+            coalesced,
+            trace_id,
         };
-        if let Some(hit) = probe {
-            // Close before recording: the flight recorder renders the
-            // span tree at record time.
-            if let Some(t) = &trace {
-                t.close();
-            }
-            self.metrics
-                .record_completion(submitted.elapsed(), true, false, trace.as_ref());
-            let _ = tx.send(Ok(hit));
-            return Ok(ResponseHandle {
-                rx,
-                from_cache: true,
-                coalesced: false,
-                trace_id,
-            });
-        }
-
-        // Single-flight: identical concurrent requests share one
-        // computation. Only the leader enqueues; joiners wait on the
-        // same in-flight entry.
         let waiter = Waiter {
             submitted,
             tx,
             trace: trace.clone(),
         };
+        let probe = {
+            let _s = cobs::span!("submit.cache_probe");
+            self.cache.get(&key)
+        };
+        if let Some(hit) = probe {
+            waiter.finish(&self.metrics, Ok(hit), true, false);
+            return Ok(handle(true, false));
+        }
+
+        // Single-flight: identical concurrent requests share one
+        // computation. Only the leader enqueues; joiners wait on the
+        // same in-flight entry.
         match self.inflight.join_or_lead(key, waiter) {
             Admission::Joined => {
                 let _s = cobs::span!("submit.coalesce");
@@ -299,12 +272,7 @@ impl ForecastServer {
                 if req.priority == crate::request::Priority::High {
                     self.batcher.promote_where(|p| p.key == key);
                 }
-                return Ok(ResponseHandle {
-                    rx,
-                    from_cache: false,
-                    coalesced: true,
-                    trace_id,
-                });
+                return Ok(handle(false, true));
             }
             Admission::Leader => {
                 // Double-check the cache: the previous leader for this key
@@ -314,23 +282,8 @@ impl ForecastServer {
                 // forecast that is already cached. `peek` keeps the
                 // hit/miss counters at one count per client lookup.
                 if let Some(hit) = self.cache.peek(&key) {
-                    let value = Ok(hit);
-                    for (i, w) in self.inflight.take(&key).into_iter().enumerate() {
-                        w.close_trace();
-                        self.metrics.record_completion(
-                            w.submitted.elapsed(),
-                            true,
-                            i > 0, // waiters past the leader coalesced onto it
-                            w.trace.as_ref(),
-                        );
-                        let _ = w.tx.send(value.clone());
-                    }
-                    return Ok(ResponseHandle {
-                        rx,
-                        from_cache: true,
-                        coalesced: false,
-                        trace_id,
-                    });
+                    self.inflight.finish(&key, &self.metrics, Ok(hit), true);
+                    return Ok(handle(true, false));
                 }
             }
         }
@@ -348,31 +301,14 @@ impl ForecastServer {
         match pushed {
             Ok(()) => {
                 cobs::gauge!("serve.queue_depth").set(self.batcher.depth() as f64);
-                Ok(ResponseHandle {
-                    rx,
-                    from_cache: false,
-                    coalesced: false,
-                    trace_id,
-                })
+                Ok(handle(false, false))
             }
             Err(e) => {
                 // Release the in-flight entry (ourselves plus any waiter
-                // that joined in the race window), propagating the error.
-                // Terminal accounting is per waiter — each was counted
-                // submitted, so each needs exactly one outcome for
-                // `completed + failed + rejected == submitted` to hold.
-                let overloaded = matches!(e, ServeError::Overloaded { .. });
-                for waiter in self.inflight.take(&key) {
-                    waiter.close_trace();
-                    if overloaded {
-                        self.metrics
-                            .record_rejection(waiter.submitted.elapsed(), waiter.trace.as_ref());
-                    } else {
-                        self.metrics
-                            .record_failure(waiter.submitted.elapsed(), waiter.trace.as_ref());
-                    }
-                    let _ = waiter.tx.send(Err(e.clone()));
-                }
+                // that joined in the race window): each was counted
+                // submitted, so each gets exactly one outcome.
+                self.inflight
+                    .finish(&key, &self.metrics, Err(e.clone()), false);
                 Err(e)
             }
         }

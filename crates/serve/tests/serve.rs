@@ -53,7 +53,6 @@ fn concurrent_requests_all_answered() {
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::from_millis(5),
             ..Default::default()
         },
     ));
@@ -80,7 +79,7 @@ fn concurrent_requests_all_answered() {
     let m = server.metrics();
     assert_eq!(m.completed, n as u64);
     assert_eq!(m.failed, 0);
-    assert!(m.p99_ms >= m.p50_ms);
+    assert_eq!(m.submitted, n as u64);
 }
 
 #[test]
@@ -91,7 +90,6 @@ fn micro_batches_form_under_load() {
         ServeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait: Duration::from_millis(200),
             cache_capacity: 0, // all 16 requests must hit the model
             ..Default::default()
         },
@@ -170,8 +168,7 @@ fn repeated_requests_hit_cache_within_f16_rounding() {
         }
     }
     let m = server.metrics();
-    assert_eq!(m.cache_hits, 1);
-    assert!(m.cache_hit_rate > 0.0);
+    assert_eq!((m.cache_hits, m.cache_misses), (1, 1));
 }
 
 #[test]
@@ -202,14 +199,13 @@ fn overload_surfaces_as_typed_backpressure() {
         ServeConfig {
             workers: 1,
             max_batch: 1, // one request per model run: the worker saturates at once
-            max_wait: Duration::from_millis(1),
             queue_capacity: 3,
             cache_capacity: 0,
             ..Default::default()
         },
     );
     // Dispatch is work-conserving (an idle worker drains the queue
-    // immediately, regardless of max_wait), so overload requires genuine
+    // immediately), so overload requires genuine
     // saturation: flood the lone worker with distinct requests faster
     // than it can forecast until the bounded queue rejects one. Each
     // submit is microseconds while a forecast is milliseconds, so the
@@ -301,7 +297,6 @@ fn identical_inflight_requests_coalesce_to_one_computation() {
         ServeConfig {
             workers: 1,
             max_batch: 16,
-            max_wait: Duration::from_millis(150),
             cache_capacity: 0,
             ..Default::default()
         },
@@ -342,14 +337,13 @@ fn identical_inflight_requests_coalesce_to_one_computation() {
 #[test]
 fn high_priority_requests_overtake_normal() {
     let c = ctx();
-    // One worker and a wide-open deadline: everything lands in one batch,
-    // whose intra-batch order is priority-first.
+    // One worker: requests queued behind its first forward land in one
+    // batch, whose intra-batch order is priority-first.
     let server = ForecastServer::new(
         c.spec.clone(),
         ServeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(300),
             cache_capacity: 0,
             ..Default::default()
         },
@@ -378,7 +372,6 @@ fn ensemble_submission_reuses_batcher_and_cache() {
         ServeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait: Duration::from_millis(5),
             queue_capacity: 16,
             cache_capacity: 32,
             ..Default::default()
@@ -434,7 +427,6 @@ fn ensemble_larger_than_queue_streams_through_with_retry() {
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 4,
             cache_capacity: 32,
             ..Default::default()
@@ -476,7 +468,6 @@ fn malformed_or_saturating_ensembles_reject_as_typed_errors() {
             // A single worker busy on the first members gates the drain;
             // later members pile into the two-slot queue.
             max_batch: 16,
-            max_wait: Duration::from_secs(10),
             queue_capacity: 2,
             cache_capacity: 0,
             ..Default::default()
@@ -515,49 +506,47 @@ fn malformed_or_saturating_ensembles_reject_as_typed_errors() {
     }
 }
 
-/// A heterogeneous pool (one int8 worker, one f16 worker) serves every
-/// request within the documented int8 ζ parity gate of the f32 model,
-/// whichever worker answers.
+/// Servers at each reduced precision (int8, f16) answer every request
+/// within the documented int8 ζ parity gate of the f32 model.
 #[test]
-fn heterogeneous_pool_serves_within_parity_gate() {
+fn reduced_precision_servers_stay_within_parity_gate() {
     use ccore::ZETA_TOL_INT8;
+    use ctensor::quant::Precision;
 
     let c = ctx();
     let direct = c.spec.instantiate();
-    let server = ForecastServer::new(
-        c.spec.clone(),
-        ServeConfig {
-            workers: 2,
-            max_batch: 4,
-            max_wait: Duration::from_millis(2),
-            cache_capacity: 0,
-            worker_precisions: Some(vec![
-                ctensor::quant::Precision::Int8,
-                ctensor::quant::Precision::F16,
-            ]),
-            ..Default::default()
-        },
-    );
-    for i in 0..6 {
-        let w = windows(i + 1).pop().unwrap();
-        let want = direct.predict_episode(&w);
-        let got = server
-            .submit(ForecastRequest::new(0, w, c.t_out))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let mut dz = 0.0f32;
-        for (a, b) in want.iter().zip(&got) {
-            for (x, y) in a.zeta.iter().zip(&b.zeta) {
-                dz = dz.max((x - y).abs());
-            }
-        }
-        assert!(
-            dz <= ZETA_TOL_INT8,
-            "reduced-precision worker drifted past the int8 gate: {dz:.3e}"
+    for precision in [Precision::Int8, Precision::F16] {
+        let server = ForecastServer::new(
+            c.spec.clone(),
+            ServeConfig {
+                workers: 1,
+                max_batch: 4,
+                cache_capacity: 0,
+                precision,
+                ..Default::default()
+            },
         );
+        for i in 0..3 {
+            let w = windows(i + 1).pop().unwrap();
+            let want = direct.predict_episode(&w);
+            let got = server
+                .submit(ForecastRequest::new(0, w, c.t_out))
+                .unwrap()
+                .wait()
+                .unwrap();
+            let mut dz = 0.0f32;
+            for (a, b) in want.iter().zip(&got) {
+                for (x, y) in a.zeta.iter().zip(&b.zeta) {
+                    dz = dz.max((x - y).abs());
+                }
+            }
+            assert!(
+                dz <= ZETA_TOL_INT8,
+                "{precision:?} server drifted past the int8 gate: {dz:.3e}"
+            );
+        }
+        assert_eq!(server.metrics().completed, 3);
     }
-    assert_eq!(server.metrics().completed, 6);
 }
 
 /// Regression guard for the v1 pool-scaling collapse (four workers fell
@@ -582,7 +571,6 @@ fn multi_worker_distinct_throughput_does_not_collapse() {
                 ServeConfig {
                     workers,
                     max_batch: 8,
-                    max_wait: Duration::from_millis(1),
                     ..Default::default()
                 },
             ));
@@ -634,7 +622,6 @@ fn serve_totals_reconcile_end_to_end() {
         ServeConfig {
             workers: 1,
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 2,
             cache_capacity: 4,
             ..Default::default()
@@ -684,7 +671,6 @@ fn traced_forecast_records_full_span_tree() {
         ServeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             cache_capacity: 8,
             ..Default::default()
         },

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example serve_demo`
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 use coastal::serve::Priority;
 use coastal::{train_surrogate, ForecastRequest, ForecastServer, Scenario, ServeConfig};
@@ -25,7 +25,6 @@ fn main() {
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::from_millis(5),
             queue_capacity: 256,
             cache_capacity: 64,
             ..Default::default()
@@ -49,6 +48,7 @@ fn main() {
     let windows = Arc::new(windows);
 
     println!("driving 4 concurrent clients × 8 requests…");
+    let t0 = Instant::now();
     let clients: Vec<_> = (0..4)
         .map(|c| {
             let server = Arc::clone(&server);
@@ -85,21 +85,30 @@ fn main() {
     for c in clients {
         c.join().expect("client thread");
     }
+    let elapsed = t0.elapsed().as_secs_f64();
 
     // ------------------------------------------------------------ report
+    // Counts come from the server; latency quantiles from the process
+    // registry's `serve.latency_seconds` histogram (bucketed: each is the
+    // upper edge of its √2-wide bucket).
     let m = server.metrics();
+    let lat = coastal::obs::global().snapshot().histograms["serve.latency_seconds"].clone();
+    let ms = |q| lat.quantile(q) * 1e3;
     println!("\n--- serving metrics ---");
     println!("completed            {}", m.completed);
-    println!("throughput           {:.1} req/s", m.throughput_rps);
     println!(
-        "latency p50/p95/p99  {:.1} / {:.1} / {:.1} ms",
-        m.p50_ms, m.p95_ms, m.p99_ms
+        "throughput           {:.1} req/s",
+        m.completed as f64 / elapsed
     );
     println!(
-        "cache                {} hits / {} misses ({:.0}% hit rate)",
-        m.cache_hits,
-        m.cache_misses,
-        m.cache_hit_rate * 100.0
+        "latency p50/p95/p99  {:.1} / {:.1} / {:.1} ms",
+        ms(0.50),
+        ms(0.95),
+        ms(0.99)
+    );
+    println!(
+        "cache                {} hits / {} misses",
+        m.cache_hits, m.cache_misses
     );
     println!("coalesced in-flight  {}", m.coalesced);
     println!("batch histogram      {:?}", m.batch_histogram);

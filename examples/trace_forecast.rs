@@ -19,8 +19,6 @@
 //! (the profiler env var is set programmatically below as well, so a
 //! plain `cargo run --example trace_forecast` shows the same output).
 
-use std::time::Duration;
-
 use coastal::{train_surrogate, ForecastRequest, ForecastServer, Scenario, ServeConfig};
 
 fn main() {
@@ -45,7 +43,6 @@ fn main() {
         ServeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(2),
             cache_capacity: 16,
             ..Default::default()
         },
