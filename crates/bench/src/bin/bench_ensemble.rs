@@ -123,7 +123,6 @@ fn main() -> ExitCode {
     let runner_cfg = RunnerConfig {
         chunk: n_members,
         verifier: None,
-        fallback: false,
         threads: 1,
     };
     let runner = EnsembleRunner::new(&grid, &trained, &sc, year, runner_cfg);
@@ -173,7 +172,6 @@ fn main() -> ExitCode {
     let par_cfg = RunnerConfig {
         chunk: n_members.div_ceil(threads).max(1),
         verifier: None,
-        fallback: false,
         threads,
     };
     let par_infer_s = best_of(
@@ -208,7 +206,6 @@ fn main() -> ExitCode {
         RunnerConfig {
             chunk: n_members,
             verifier: Some(VerifierConfig::default()),
-            fallback: true,
             threads: 1,
         },
     )
@@ -221,7 +218,7 @@ fn main() -> ExitCode {
     println!(
         "verified products: pass rate {:.0}%, {} fallback member(s), \
          {at_risk} cells with P[peak ζ > {threshold} m] > 0.5",
-        stats.pass_rate * 100.0,
+        verified.pass_rate() * 100.0,
         verified.fallback_members()
     );
 
@@ -252,7 +249,7 @@ fn main() -> ExitCode {
              \"speedup_vs_naive\": {headline_speedup:.3}, \"gate\": {GATE}",
             outcome.inference_seconds,
             outcome.batches,
-            stats.pass_rate,
+            verified.pass_rate(),
             verified.fallback_members(),
         ),
         &failures,

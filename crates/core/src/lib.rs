@@ -2,8 +2,8 @@
 //!
 //! The top-level API of the reproduction: scenario configuration,
 //! end-to-end surrogate training ([`train`]), the hybrid AI+ROMS workflow
-//! with physics verification and fallback ([`workflow`]), dual-model
-//! long-horizon forecasting ([`forecast`]), and Table-III-style metrics
+//! ([`workflow`]: the one predict → verify → ROMS-fallback path, shared by
+//! chained forecasts and ensemble chunks), and Table-III-style metrics
 //! ([`metrics`]).
 //!
 //! ```no_run
@@ -18,16 +18,27 @@
 //! ```
 
 pub mod error;
-pub mod forecast;
 pub mod metrics;
 pub mod train;
 pub mod workflow;
 
 pub use error::ForecastError;
-pub use forecast::DualModelForecaster;
 pub use metrics::ErrorTable;
 pub use train::{
     train_surrogate, validate_episode_window, Scenario, SurrogateSpec, TrainedSurrogate,
     ZETA_TOL_F16, ZETA_TOL_INT8,
 };
-pub use workflow::{HybridForecaster, HybridOutcome};
+pub use workflow::{EpisodeOutcome, HybridForecaster, HybridOutcome, PhaseSeconds, Route};
+
+/// Every bit of a trajectory (times and fields), for bitwise assertions.
+#[cfg(test)]
+pub(crate) fn bits(snaps: &[cocean::Snapshot]) -> Vec<u64> {
+    let mut out = Vec::new();
+    for s in snaps {
+        out.push(s.time.to_bits());
+        for f in [&s.zeta, &s.u, &s.v, &s.w] {
+            out.extend(f.iter().map(|x| u64::from(x.to_bits())));
+        }
+    }
+    out
+}

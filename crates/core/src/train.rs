@@ -85,23 +85,6 @@ impl Scenario {
         }
     }
 
-    /// Medium scenario for the headline benchmarks.
-    pub fn medium() -> Scenario {
-        let mut s = Scenario::small();
-        s.grid_params.estuary.ny = 48;
-        s.grid_params.estuary.nx = 32;
-        s.grid_params.nz = 4;
-        s.swin.ny = 48;
-        s.swin.nx = 32;
-        s.swin.nz = 4;
-        s.swin.t_out = 6;
-        s.swin.patch = [4, 4, 2];
-        s.t_out = 6;
-        s.train_snapshots = 120;
-        s.test_snapshots = 60;
-        s
-    }
-
     pub fn grid(&self) -> Grid {
         Grid::build(&self.grid_params)
     }
@@ -504,6 +487,10 @@ mod tests {
                     }
                 }
             }
+            // A batch of one is the sequential path bit for bit: the
+            // hybrid chain forecasts through it.
+            let one = trained.predict_batch(&[w]).unwrap();
+            assert_eq!(crate::bits(&one[0]), crate::bits(&seq));
         }
     }
 

@@ -1,18 +1,45 @@
 //! The hybrid AI+ROMS workflow (paper Fig. 1 / Fig. 8): surrogate
 //! inference, physics verification, and automatic fallback to the
-//! simulator when a prediction violates mass conservation.
+//! simulator when a prediction violates mass conservation. The loop lives
+//! in [`HybridForecaster::episodes`] only; `forecast` chains it and the
+//! ensemble runner calls it once per member chunk.
 
 use std::time::Instant;
 
 use cgrid::Grid;
-use cocean::{OceanConfig, Roms, Snapshot};
-use cphysics::{Verifier, VerifierConfig};
+use cocean::{OceanConfig, Roms, Snapshot, TidalForcing};
+use cphysics::{Verdict, Verifier, VerifierConfig};
 
 use crate::error::ForecastError;
 use crate::train::TrainedSurrogate;
 
-/// Outcome of a hybrid forecast.
+/// Which arm produced an episode: the accepted surrogate, or the
+/// simulator after the verifier rejected the surrogate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    Ai,
+    Fallback,
+}
+
+/// One verified episode: `t_out` snapshots from `route`'s arm, plus the
+/// verdicts of the *surrogate* episode up to its first failure.
 #[derive(Clone, Debug)]
+pub struct EpisodeOutcome {
+    pub forecast: Vec<Snapshot>,
+    pub verdicts: Vec<Verdict>,
+    pub route: Route,
+}
+
+/// Wall time of one [`HybridForecaster::episodes`] call, per phase.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PhaseSeconds {
+    pub ai: f64,
+    pub verify: f64,
+    pub roms: f64,
+}
+
+/// Outcome of a hybrid forecast.
+#[derive(Clone, Debug, Default)]
 pub struct HybridOutcome {
     /// The forecast trajectory (episode-concatenated).
     pub snapshots: Vec<Snapshot>,
@@ -35,6 +62,8 @@ impl HybridOutcome {
 pub struct HybridForecaster<'a> {
     pub grid: &'a Grid,
     pub surrogate: &'a TrainedSurrogate,
+    /// Simulator configuration of the fallback; each episode runs it
+    /// under its own input's forcing.
     pub ocean: OceanConfig,
     pub verifier_cfg: VerifierConfig,
 }
@@ -54,15 +83,61 @@ impl<'a> HybridForecaster<'a> {
         }
     }
 
+    /// Forecast every input episode: one stacked
+    /// [`TrainedSurrogate::predict_batch`] over the windows, one
+    /// [`Verifier::accepts`] per episode, and for each rejected episode a
+    /// simulator run from `window[0]` under that input's `forcing` (the
+    /// paper's "switch back to ROMS" arm). Outcomes come back in input
+    /// order.
+    pub fn episodes(
+        &self,
+        inputs: &[(&[Snapshot], &TidalForcing)],
+    ) -> Result<(Vec<EpisodeOutcome>, PhaseSeconds), ForecastError> {
+        let verifier = Verifier::new(self.grid, self.verifier_cfg);
+        let mut secs = PhaseSeconds::default();
+        let windows: Vec<&[Snapshot]> = inputs.iter().map(|&(w, _)| w).collect();
+        let predictions = phase("ccore.predict_batch", &mut secs.ai, || {
+            self.surrogate.predict_batch(&windows)
+        })?;
+
+        let mut out = Vec::with_capacity(inputs.len());
+        for (&(window, forcing), prediction) in inputs.iter().zip(predictions) {
+            let (verdicts, accepted) = phase("ccore.verify", &mut secs.verify, || {
+                verifier.accepts(&window[0], &prediction)
+            });
+            let (forecast, route) = if accepted {
+                cobs::counter!("ccore.episodes.ai").inc();
+                (prediction, Route::Ai)
+            } else {
+                cobs::counter!("ccore.episodes.fallback").inc();
+                let sim = phase("ccore.roms_fallback", &mut secs.roms, || {
+                    let ocean = OceanConfig {
+                        forcing: forcing.clone(),
+                        ..self.ocean.clone()
+                    };
+                    let mut roms = Roms::new(self.grid, ocean);
+                    roms.load(&window[0]);
+                    roms.record(prediction.len(), self.surrogate.snapshot_interval)
+                });
+                (sim, Route::Fallback)
+            };
+            out.push(EpisodeOutcome {
+                forecast,
+                verdicts,
+                route,
+            });
+        }
+        Ok((out, secs))
+    }
+
     /// Forecast `n_episodes` of `t_out` steps each, starting from
     /// `reference[start]`. Boundary conditions for each episode are read
     /// from the reference trajectory (in deployment they come from tide
     /// tables / a parent model); the reference also never leaks interior
     /// state into the surrogate input beyond the initial condition.
     ///
-    /// Each episode is verified; on failure, the episode is recomputed
-    /// with the simulator initialized from the last accepted state (the
-    /// paper's "switch back to ROMS" arm), and the forecast continues.
+    /// Each episode is one [`Self::episodes`] call under the forecaster's
+    /// own forcing, from the last accepted state (AI or fallback).
     ///
     /// A reference trajectory too short to supply boundary frames is a
     /// typed [`ForecastError`], not a panic — serving workers stay up.
@@ -79,16 +154,11 @@ impl<'a> HybridForecaster<'a> {
                 got: reference.len(),
             });
         }
-        let verifier = Verifier::new(self.grid, self.verifier_cfg);
 
         let mut out = HybridOutcome {
             snapshots: Vec::with_capacity(n_episodes * t_out),
             episodes_total: n_episodes,
-            episodes_ai: 0,
-            episodes_fallback: 0,
-            ai_seconds: 0.0,
-            roms_seconds: 0.0,
-            verify_seconds: 0.0,
+            ..HybridOutcome::default()
         };
 
         // The evolving initial condition: starts from the reference, then
@@ -97,45 +167,35 @@ impl<'a> HybridForecaster<'a> {
 
         for e in 0..n_episodes {
             let w0 = start + e * t_out;
-            // Window for boundary conditions: current state + reference
-            // boundary frames.
             let mut window = Vec::with_capacity(t_out + 1);
-            window.push(current.clone());
-            for s in &reference[w0 + 1..=w0 + t_out] {
-                window.push(s.clone());
-            }
+            window.push(current);
+            window.extend_from_slice(&reference[w0 + 1..=w0 + t_out]);
 
-            let t_ai = Instant::now();
-            let prediction = self.surrogate.try_predict_episode(&window)?;
-            out.ai_seconds += t_ai.elapsed().as_secs_f64();
-
-            let t_v = Instant::now();
-            let verdicts = verifier.check_episode(&current, &prediction);
-            let passed = verdicts.iter().all(|v| v.passed) && verdicts.len() == t_out;
-            out.verify_seconds += t_v.elapsed().as_secs_f64();
-
-            if passed {
-                out.episodes_ai += 1;
-                current = prediction
-                    .last()
-                    .ok_or(ForecastError::EmptyEpisode)?
-                    .clone();
-                out.snapshots.extend(prediction);
-            } else {
-                // Fallback: run the simulator for this episode from the
-                // last accepted state.
-                let t_r = Instant::now();
-                let mut roms = Roms::new(self.grid, self.ocean.clone());
-                roms.load(&current);
-                let sim = roms.record(t_out, self.surrogate.snapshot_interval);
-                out.roms_seconds += t_r.elapsed().as_secs_f64();
-                out.episodes_fallback += 1;
-                current = sim.last().ok_or(ForecastError::EmptyEpisode)?.clone();
-                out.snapshots.extend(sim);
-            }
+            let (mut episodes, secs) = self.episodes(&[(&window, &self.ocean.forcing)])?;
+            let episode = episodes.pop().ok_or(ForecastError::EmptyEpisode)?;
+            out.ai_seconds += secs.ai;
+            out.verify_seconds += secs.verify;
+            out.roms_seconds += secs.roms;
+            out.episodes_fallback += usize::from(episode.route == Route::Fallback);
+            current = episode
+                .forecast
+                .last()
+                .ok_or(ForecastError::EmptyEpisode)?
+                .clone();
+            out.snapshots.extend(episode.forecast);
         }
+        out.episodes_ai = n_episodes - out.episodes_fallback;
         Ok(out)
     }
+}
+
+/// Run `f` inside span `name`, adding its wall time to `seconds`.
+fn phase<R>(name: &'static str, seconds: &mut f64, f: impl FnOnce() -> R) -> R {
+    let _span = cobs::trace::span(name);
+    let t = Instant::now();
+    let r = f();
+    *seconds += t.elapsed().as_secs_f64();
+    r
 }
 
 #[cfg(test)]
@@ -191,6 +251,62 @@ mod tests {
         assert_eq!(r.episodes_ai, 2);
         assert_eq!(r.episodes_fallback, 0);
         assert_eq!(r.snapshots.len(), 2 * sc.t_out);
+    }
+
+    /// The hand-written loop `forecast` replaced: per episode,
+    /// `try_predict_episode` → `check_episode` → on rejection a `Roms`
+    /// load/record from the last accepted state.
+    fn reference_chain(
+        fc: &HybridForecaster,
+        test: &[Snapshot],
+        start: usize,
+        n_episodes: usize,
+    ) -> (Vec<Snapshot>, Vec<Route>) {
+        let t_out = fc.surrogate.model.cfg.t_out;
+        let verifier = Verifier::new(fc.grid, fc.verifier_cfg);
+        let (mut current, mut out, mut routes) = (test[start].clone(), Vec::new(), Vec::new());
+        for e in 0..n_episodes {
+            let w0 = start + e * t_out;
+            let mut window = vec![current.clone()];
+            window.extend_from_slice(&test[w0 + 1..=w0 + t_out]);
+            let prediction = fc.surrogate.try_predict_episode(&window).unwrap();
+            let verdicts = verifier.check_episode(&current, &prediction);
+            let episode = if verdicts.len() == t_out && verdicts.iter().all(|v| v.passed) {
+                routes.push(Route::Ai);
+                prediction
+            } else {
+                routes.push(Route::Fallback);
+                let mut roms = Roms::new(fc.grid, fc.ocean.clone());
+                roms.load(&current);
+                roms.record(t_out, fc.surrogate.snapshot_interval)
+            };
+            current = episode.last().unwrap().clone();
+            out.extend(episode);
+        }
+        (out, routes)
+    }
+
+    #[test]
+    fn mixed_arm_chain_matches_reference_loop_bitwise() {
+        let (grid, trained, test, sc) = setup();
+        let ocean = sc.ocean_config(grid, 1);
+        // An episode seeded from the archive or a ROMS state opens with a
+        // larger residual than one seeded from the surrogate's own output.
+        // From snapshot 2, the fixture's episodes on an all-fallback chain
+        // peak at about 3.4e-4, 1.3e-2, 5.2e-3 and 1.4e-4 m/s, so this
+        // threshold sends the first three to ROMS and accepts the last.
+        let (start, n) = (2, 4);
+        let fc = HybridForecaster::new(grid, &trained, ocean, VerifierConfig { threshold: 2.4e-4 });
+        let got = fc.forecast(test, start, n).unwrap();
+        let (expected, routes) = reference_chain(&fc, test, start, n);
+        let fallbacks = routes.iter().filter(|&&r| r == Route::Fallback).count();
+        assert!(
+            fallbacks > 0 && fallbacks < n,
+            "the threshold must split the arms: {routes:?}"
+        );
+        assert_eq!(got.episodes_fallback, fallbacks);
+        assert_eq!(got.episodes_ai, n - fallbacks);
+        assert_eq!(crate::bits(&got.snapshots), crate::bits(&expected));
     }
 
     #[test]

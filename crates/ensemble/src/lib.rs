@@ -15,14 +15,15 @@
 //!   Latin-hypercube sampling.
 //! - [`member`] + [`runner`] — member episode windows are *synthesized*
 //!   from one shared base simulation (the forcing delta is analytic), and
-//!   the [`EnsembleRunner`] forecasts them in chunks stacked through
-//!   [`ccore::TrainedSurrogate::predict_batch`], with per-member physics
-//!   verification and ROMS fallback ([`run_parallel`] fans chunks across
-//!   a thread pool for multicore hosts).
+//!   the [`EnsembleRunner`] forecasts them in chunks, one
+//!   [`ccore::HybridForecaster::episodes`] call each: a stacked forward,
+//!   per-member physics verification, and ROMS fallback under the
+//!   member's own forcing ([`run_parallel`] fans chunks across a thread
+//!   pool for multicore hosts).
 //! - [`stats`] — per-cell mean/spread/quantiles of ζ, u, v;
 //!   exceedance-probability maps (`P[ζ_max > threshold]`, the flood-risk
-//!   product); member ranking by [`ccore::ErrorTable`]; verification
-//!   pass-rate summaries.
+//!   product); member ranking by [`ccore::ErrorTable`]. The pass rate
+//!   is [`EnsembleOutcome::pass_rate`].
 //!
 //! Everything is deterministic per seed: catalog draws, synthesized
 //! windows and statistics are bit-identical across runs, and per-member

@@ -1,27 +1,21 @@
-//! The ensemble runner: stacked-batch surrogate inference over all
-//! members, per-member physics verification, and per-member ROMS fallback
-//! — the hybrid AI+physics workflow lifted from one scenario to N.
+//! The ensemble runner: the hybrid AI+physics workflow lifted from one
+//! scenario to N.
 //!
-//! Members are forecast in chunks of [`RunnerConfig::chunk`] episodes
-//! stacked through [`TrainedSurrogate::predict_batch`], so each chunk is
-//! **one** forward pass of the Blocked backend instead of `chunk`
-//! separate ones. [`run_parallel`] additionally fans chunks out across a
-//! thread pool, each worker rebuilding the model from a `Send`
-//! [`SurrogateSpec`] — member forecasts are embarrassingly parallel, so
-//! ensemble throughput scales with cores where intra-op parallelism
-//! cannot.
-//!
-//! Per-member results are chunk-invariant: stacking a member with
-//! different chunkmates does not change its forecast (each batch row's
-//! arithmetic is independent), so serial, chunked and parallel runs all
-//! produce identical ensembles.
+//! Members are forecast in chunks of [`RunnerConfig::chunk`]. With a
+//! verifier, a chunk is one [`HybridForecaster::episodes`] call, each
+//! member falling back under its own forcing; without one, a bare
+//! [`TrainedSurrogate::predict_batch`]. [`run_parallel`] fans chunks out
+//! across threads, each rebuilding the model from a `Send`
+//! [`SurrogateSpec`]. A member's forecast does not depend on its
+//! chunkmates (batch rows are independent), so serial, chunked and
+//! parallel runs produce identical ensembles.
 
 use std::time::Instant;
 
-use ccore::{ForecastError, Scenario, SurrogateSpec, TrainedSurrogate};
+use ccore::{ForecastError, HybridForecaster, Route, Scenario, SurrogateSpec, TrainedSurrogate};
 use cgrid::Grid;
-use cocean::{Roms, Snapshot};
-use cphysics::{Verdict, Verifier, VerifierConfig};
+use cocean::Snapshot;
+use cphysics::{Verdict, VerifierConfig};
 
 use crate::member::MemberWindow;
 
@@ -30,12 +24,9 @@ use crate::member::MemberWindow;
 pub struct RunnerConfig {
     /// Members stacked per batched forward pass.
     pub chunk: usize,
-    /// Physics verification of every member episode (`None` skips it).
+    /// Physics verification of every member episode, with ROMS fallback
+    /// for rejected members (`None` skips both: inference only).
     pub verifier: Option<VerifierConfig>,
-    /// Re-run failed members with the simulator from the member's own
-    /// forcing (the hybrid workflow's "switch back to ROMS" arm, per
-    /// member). Requires a verifier.
-    pub fallback: bool,
     /// Worker threads for [`run_parallel`] (`0` = all available cores).
     pub threads: usize,
 }
@@ -45,7 +36,6 @@ impl Default for RunnerConfig {
         Self {
             chunk: 8,
             verifier: Some(VerifierConfig::default()),
-            fallback: true,
             threads: 0,
         }
     }
@@ -61,10 +51,8 @@ pub struct MemberOutcome {
     /// Per-transition verdicts of the *surrogate* episode (empty when
     /// verification is disabled).
     pub verdicts: Vec<Verdict>,
-    /// Every verified transition passed.
-    pub passed: bool,
-    /// The forecast was recomputed by the simulator.
-    pub fell_back: bool,
+    /// [`Route::Ai`] when unverified or accepted.
+    pub route: Route,
 }
 
 /// Aggregate result of an ensemble run.
@@ -81,21 +69,22 @@ pub struct EnsembleOutcome {
 }
 
 impl EnsembleOutcome {
-    /// Fraction of verified members whose every transition passed.
+    /// Fraction of members served by the surrogate (every member when
+    /// verification is disabled).
     pub fn pass_rate(&self) -> f64 {
         if self.members.is_empty() {
             return 1.0;
         }
-        self.members.iter().filter(|m| m.passed).count() as f64 / self.members.len() as f64
+        let ai = self.members.len() - self.fallback_members();
+        ai as f64 / self.members.len() as f64
     }
 
-    /// Members served by the surrogate / recomputed by the simulator.
-    pub fn ai_members(&self) -> usize {
-        self.members.iter().filter(|m| !m.fell_back).count()
-    }
-
+    /// Members recomputed by the simulator.
     pub fn fallback_members(&self) -> usize {
-        self.members.iter().filter(|m| m.fell_back).count()
+        self.members
+            .iter()
+            .filter(|m| m.route == Route::Fallback)
+            .count()
     }
 
     fn merge(mut parts: Vec<EnsembleOutcome>) -> EnsembleOutcome {
@@ -140,107 +129,51 @@ impl<'a> EnsembleRunner<'a> {
         }
     }
 
-    /// Forecast every member: chunked stacked inference, then per-member
-    /// verification and (optionally) simulator fallback.
+    /// Forecast every member in chunks: verified episodes with simulator
+    /// fallback when a verifier is configured, bare stacked inference
+    /// otherwise.
     pub fn run(&self, windows: &[MemberWindow]) -> Result<EnsembleOutcome, ForecastError> {
         if windows.is_empty() {
             return Err(ForecastError::EmptyBatch);
         }
-        let chunk = self.cfg.chunk.max(1);
-        let verifier = self.cfg.verifier.map(|cfg| Verifier::new(self.grid, cfg));
+        let hybrid = self.cfg.verifier.map(|v| {
+            let ocean = self.scenario.ocean_config(self.grid, self.year);
+            HybridForecaster::new(self.grid, self.surrogate, ocean, v)
+        });
         let mut out = EnsembleOutcome::default();
-
-        for group in windows.chunks(chunk) {
-            let refs: Vec<&[Snapshot]> = group.iter().map(|m| m.window.as_slice()).collect();
-            let t0 = Instant::now();
-            let predictions = {
-                let _span = cobs::span!("ensemble.predict_batch");
-                self.surrogate.predict_batch(&refs)?
-            };
-            let elapsed = t0.elapsed();
-            cobs::histogram!("ensemble.inference_seconds").record_duration(elapsed);
-            out.inference_seconds += elapsed.as_secs_f64();
+        for group in windows.chunks(self.cfg.chunk.max(1)) {
             out.batches += 1;
-
-            for (mw, prediction) in group.iter().zip(predictions) {
-                out.members.push(self.finish_member(
-                    mw,
-                    prediction,
-                    verifier.as_ref(),
-                    &mut out.verify_seconds,
-                    &mut out.fallback_seconds,
-                )?);
+            let ids = group.iter().map(|m| m.perturbation.member_id);
+            let Some(hybrid) = &hybrid else {
+                let refs: Vec<_> = group.iter().map(|m| &m.window[..]).collect();
+                let t0 = Instant::now();
+                let predictions = self.surrogate.predict_batch(&refs)?;
+                out.inference_seconds += t0.elapsed().as_secs_f64();
+                for (member_id, forecast) in ids.zip(predictions) {
+                    out.members.push(MemberOutcome {
+                        member_id,
+                        forecast,
+                        verdicts: Vec::new(),
+                        route: Route::Ai,
+                    });
+                }
+                continue;
+            };
+            let inputs: Vec<_> = group.iter().map(|m| (&m.window[..], &m.forcing)).collect();
+            let (episodes, secs) = hybrid.episodes(&inputs)?;
+            out.inference_seconds += secs.ai;
+            out.verify_seconds += secs.verify;
+            out.fallback_seconds += secs.roms;
+            for (member_id, e) in ids.zip(episodes) {
+                out.members.push(MemberOutcome {
+                    member_id,
+                    forecast: e.forecast,
+                    verdicts: e.verdicts,
+                    route: e.route,
+                });
             }
         }
         Ok(out)
-    }
-
-    /// Verify one member's surrogate episode and fall back if configured.
-    fn finish_member(
-        &self,
-        mw: &MemberWindow,
-        prediction: Vec<Snapshot>,
-        verifier: Option<&Verifier<'_>>,
-        verify_seconds: &mut f64,
-        fallback_seconds: &mut f64,
-    ) -> Result<MemberOutcome, ForecastError> {
-        let t_out = prediction.len();
-        let (verdicts, passed) = match verifier {
-            None => (Vec::new(), true),
-            Some(v) => {
-                let t0 = Instant::now();
-                let verdicts = {
-                    let _span = cobs::span!("ensemble.verify");
-                    v.check_episode(&mw.window[0], &prediction)
-                };
-                let elapsed = t0.elapsed();
-                cobs::histogram!("ensemble.verify_seconds").record_duration(elapsed);
-                *verify_seconds += elapsed.as_secs_f64();
-                let passed = verdicts.len() == t_out && verdicts.iter().all(|v| v.passed);
-                if passed {
-                    cobs::counter!("ensemble.members.passed").inc();
-                } else {
-                    cobs::counter!("ensemble.members.failed").inc();
-                }
-                (verdicts, passed)
-            }
-        };
-
-        if passed || !self.cfg.fallback {
-            return Ok(MemberOutcome {
-                member_id: mw.perturbation.member_id,
-                forecast: prediction,
-                verdicts,
-                passed,
-                fell_back: false,
-            });
-        }
-
-        // Hybrid fallback: simulate this member's episode under its own
-        // forcing, starting from its initial condition.
-        cobs::counter!("ensemble.roms_fallback").inc();
-        let t0 = Instant::now();
-        let sim = {
-            let _span = cobs::span!("ensemble.roms_fallback");
-            let mut ocean = self.scenario.ocean_config(self.grid, self.year);
-            ocean.forcing = mw.forcing.clone();
-            let mut roms = Roms::new(self.grid, ocean);
-            roms.load(&mw.window[0]);
-            roms.record(t_out, self.surrogate.snapshot_interval)
-        };
-        let elapsed = t0.elapsed();
-        cobs::histogram!("ensemble.fallback_seconds").record_duration(elapsed);
-        *fallback_seconds += elapsed.as_secs_f64();
-        if sim.is_empty() {
-            return Err(ForecastError::EmptyEpisode);
-        }
-        Ok(MemberOutcome {
-            member_id: mw.perturbation.member_id,
-            forecast: sim,
-            verdicts,
-            passed,
-            fell_back: true,
-        })
     }
 }
 

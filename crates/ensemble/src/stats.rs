@@ -1,6 +1,6 @@
 //! Probabilistic ensemble products: per-cell moments and quantiles,
-//! exceedance-probability maps (the flood-risk product), member ranking
-//! against a reference run, and verification summaries.
+//! exceedance-probability maps (the flood-risk product), and member
+//! ranking against a reference run.
 //!
 //! All statistics are computed over the member axis with a deterministic
 //! reduction order, so a seeded ensemble yields bit-identical products on
@@ -106,10 +106,6 @@ pub struct EnsembleStats {
     /// Final-step surface-layer u / v summaries.
     pub final_surface_u: FieldSummary,
     pub final_surface_v: FieldSummary,
-    /// Fraction of members whose every verified transition passed.
-    pub pass_rate: f64,
-    /// Fraction of members recomputed by the simulator.
-    pub fallback_rate: f64,
 }
 
 impl EnsembleStats {
@@ -155,8 +151,6 @@ impl EnsembleStats {
             final_surface_u: FieldSummary::across_members(&finals_u, ny, nx, probs),
             final_surface_v: FieldSummary::across_members(&finals_v, ny, nx, probs),
             member_peak_zeta: peaks,
-            pass_rate: outcome.pass_rate(),
-            fallback_rate: outcome.fallback_members() as f64 / outcome.members.len() as f64,
         }
     }
 

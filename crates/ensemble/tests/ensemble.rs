@@ -4,13 +4,13 @@
 
 use std::sync::OnceLock;
 
-use ccore::{train_surrogate, Scenario, SurrogateSpec, TrainedSurrogate};
+use ccore::{train_surrogate, Route, Scenario, SurrogateSpec, TrainedSurrogate};
 use censemble::{
     rank_members, synthesize_windows, EnsembleRunner, EnsembleStats, PerturbationCatalog,
     PerturbationSpace, RunnerConfig, SamplingStrategy,
 };
 use cgrid::Grid;
-use cocean::Snapshot;
+use cocean::{Roms, Snapshot, TidalForcing};
 use cphysics::VerifierConfig;
 use proptest::prelude::*;
 
@@ -65,7 +65,6 @@ fn seeded_ensemble_is_bit_identical_end_to_end() {
         let cfg = RunnerConfig {
             chunk: 4,
             verifier: Some(VerifierConfig { threshold: 1e9 }),
-            fallback: false,
             threads: 1,
         };
         let outcome = EnsembleRunner::new(&grid, &trained, &sc, 0, cfg)
@@ -95,7 +94,6 @@ fn member_forecasts_are_chunk_and_thread_invariant() {
     let cfg = |chunk: usize| RunnerConfig {
         chunk,
         verifier: None,
-        fallback: false,
         threads: 1,
     };
 
@@ -129,7 +127,6 @@ fn member_forecasts_are_chunk_and_thread_invariant() {
         RunnerConfig {
             chunk: 2,
             verifier: None,
-            fallback: false,
             threads: 2,
         },
         &windows,
@@ -147,13 +144,25 @@ fn member_forecasts_are_chunk_and_thread_invariant() {
     }
 }
 
+/// Every bit of a trajectory (times and fields).
+fn bits(snaps: &[Snapshot]) -> Vec<u64> {
+    let mut out = Vec::new();
+    for s in snaps {
+        out.push(s.time.to_bits());
+        for f in [&s.zeta, &s.u, &s.v, &s.w] {
+            out.extend(f.iter().map(|x| u64::from(x.to_bits())));
+        }
+    }
+    out
+}
+
 #[test]
 fn strict_verifier_forces_member_fallback() {
     let (sc, grid, trained, archive) = setup();
     let members = catalog(3, 1).members();
     let windows = synthesize_windows(&sc, &grid, &archive[..sc.t_out + 1], 0, &members).unwrap();
 
-    let fallback_metric = cobs::counter!("ensemble.roms_fallback");
+    let fallback_metric = cobs::counter!("ccore.episodes.fallback");
     let fallbacks_before = fallback_metric.get();
     let strict = EnsembleRunner::new(
         &grid,
@@ -163,7 +172,6 @@ fn strict_verifier_forces_member_fallback() {
         RunnerConfig {
             chunk: 8,
             verifier: Some(VerifierConfig { threshold: 1e-12 }),
-            fallback: true,
             threads: 1,
         },
     )
@@ -179,7 +187,33 @@ fn strict_verifier_forces_member_fallback() {
     assert!(strict
         .members
         .iter()
-        .all(|m| m.fell_back && !m.verdicts.is_empty()));
+        .all(|m| m.route == Route::Fallback && !m.verdicts.is_empty()));
+
+    // Each fallback is the simulator from the member's IC under the
+    // member's own forcing, and that forcing reaches it: a member with
+    // rescaled tides differs from the same IC under the base forcing.
+    let simulate = |ic: &Snapshot, forcing: &TidalForcing| {
+        let mut ocean = sc.ocean_config(&grid, 0);
+        ocean.forcing = forcing.clone();
+        let mut roms = Roms::new(&grid, ocean);
+        roms.load(ic);
+        roms.record(sc.t_out, trained.snapshot_interval)
+    };
+    let base = sc.base_forcing(0);
+    for (mw, m) in windows.iter().zip(&strict.members) {
+        assert_eq!(
+            bits(&m.forecast),
+            bits(&simulate(&mw.window[0], &mw.forcing)),
+            "member {} fallback must run under its own forcing",
+            m.member_id
+        );
+    }
+    let (mw, m) = windows
+        .iter()
+        .zip(&strict.members)
+        .find(|(mw, _)| mw.perturbation.tidal_amp_scale != 1.0)
+        .expect("a member with rescaled tides");
+    assert_ne!(bits(&m.forecast), bits(&simulate(&mw.window[0], &base)));
 
     let loose = EnsembleRunner::new(
         &grid,
@@ -189,13 +223,12 @@ fn strict_verifier_forces_member_fallback() {
         RunnerConfig {
             chunk: 8,
             verifier: Some(VerifierConfig { threshold: 1e9 }),
-            fallback: true,
             threads: 1,
         },
     )
     .run(&windows)
     .unwrap();
-    assert_eq!(loose.ai_members(), 3);
+    assert_eq!(loose.fallback_members(), 0);
     assert_eq!(loose.pass_rate(), 1.0);
     assert_eq!(loose.fallback_seconds, 0.0);
 }
@@ -214,7 +247,6 @@ fn stats_products_are_consistent() {
         RunnerConfig {
             chunk: 8,
             verifier: Some(VerifierConfig { threshold: 1e9 }),
-            fallback: false,
             threads: 1,
         },
     )

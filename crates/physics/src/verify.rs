@@ -70,6 +70,15 @@ impl<'g> Verifier<'g> {
         out
     }
 
+    /// [`Self::check_episode`] plus the acceptance rule every caller
+    /// shares: the episode is accepted when a verdict exists for every
+    /// predicted snapshot and each one passed.
+    pub fn accepts(&self, initial: &Snapshot, predicted: &[Snapshot]) -> (Vec<Verdict>, bool) {
+        let verdicts = self.check_episode(initial, predicted);
+        let accepted = verdicts.len() == predicted.len() && verdicts.iter().all(|v| v.passed);
+        (verdicts, accepted)
+    }
+
     /// Mean residual of every transition in a trajectory (used for the
     /// pass-rate curve where each inference is judged independently).
     pub fn residual_series(&self, trajectory: &[Snapshot]) -> Vec<f64> {
@@ -150,6 +159,7 @@ mod tests {
         let verdicts = verifier.check_episode(&snaps[0], &snaps[1..]);
         assert_eq!(verdicts.len(), 3);
         assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
+        assert!(verifier.accepts(&snaps[0], &snaps[1..]).1);
 
         // Corrupt the middle snapshot: the check stops there.
         let mut bad = snaps.clone();
@@ -159,5 +169,6 @@ mod tests {
         let verdicts = verifier.check_episode(&bad[0], &bad[1..]);
         assert!(verdicts.len() <= 2, "must stop at the corrupted step");
         assert!(!verdicts.last().unwrap().passed);
+        assert!(!verifier.accepts(&bad[0], &bad[1..]).1);
     }
 }

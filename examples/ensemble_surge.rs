@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example ensemble_surge`
 
-use coastal::core::train_surrogate;
+use coastal::core::{train_surrogate, Route};
 use coastal::ensemble::{
     rank_members, synthesize_windows, EnsembleRunner, EnsembleStats, PerturbationCatalog,
     PerturbationSpace, RunnerConfig, SamplingStrategy,
@@ -54,17 +54,15 @@ fn main() {
         RunnerConfig {
             chunk: 8,
             verifier: Some(VerifierConfig::default()),
-            fallback: true,
             threads: 1,
         },
     )
     .run(&windows)
     .expect("ensemble run");
     println!(
-        "\nforecast {} members in {} stacked batch(es): {} AI, {} fallback, pass rate {:.0}%",
+        "\nforecast {} members in {} stacked batch(es): {} fallback, pass rate {:.0}%",
         outcome.members.len(),
         outcome.batches,
-        outcome.ai_members(),
         outcome.fallback_members(),
         outcome.pass_rate() * 100.0
     );
@@ -146,7 +144,10 @@ fn main() {
         println!(
             "  {}  {}  worst residual {worst:.2e} m/s  ζ-RMSE {:.3} m  {}",
             members[r.member_id].label(),
-            if m.passed { "PASS" } else { "FAIL→ROMS" },
+            match m.route {
+                Route::Ai => "PASS",
+                Route::Fallback => "FAIL→ROMS",
+            },
             r.score,
             if r.member_id == ranks[0].member_id {
                 "← closest to base"

@@ -18,8 +18,8 @@ pub use csurrogate as surrogate;
 pub use ctensor as tensor;
 
 pub use ccore::{
-    train_surrogate, DualModelForecaster, ErrorTable, ForecastError, HybridForecaster, Scenario,
-    SurrogateSpec, TrainedSurrogate,
+    train_surrogate, ErrorTable, ForecastError, HybridForecaster, Scenario, SurrogateSpec,
+    TrainedSurrogate,
 };
 pub use censemble::{
     EnsembleRunner, EnsembleStats, PerturbationCatalog, PerturbationSpace, SamplingStrategy,

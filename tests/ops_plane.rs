@@ -28,8 +28,7 @@ fn member_stats(
     initial: &Snapshot,
     forecast: &[Snapshot],
 ) -> (bool, f64, f64) {
-    let verdicts = verifier.check_episode(initial, forecast);
-    let passed = !verdicts.is_empty() && verdicts.iter().all(|v| v.passed);
+    let (_, passed) = verifier.accepts(initial, forecast);
     let (mut sum, mut n, mut extreme) = (0.0f64, 0usize, 0.0f64);
     for s in forecast {
         for &z in &s.zeta {
