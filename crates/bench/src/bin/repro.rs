@@ -80,11 +80,9 @@ fn ai_residuals(ctx: &Context, windows: &[&[Snapshot]]) -> Vec<f64> {
     let verifier = Verifier::new(&ctx.grid, VerifierConfig::default());
     let mut residuals = Vec::new();
     for w in windows {
-        let mut prev = w[0].clone();
-        for p in ctx.trained.predict_episode(w) {
-            residuals.push(verifier.check_pair(&prev, &p).mean_residual);
-            prev = p;
-        }
+        let mut trajectory = vec![w[0].clone()];
+        trajectory.extend(ctx.trained.predict_episode(w));
+        residuals.extend(verifier.residual_series(&trajectory));
     }
     residuals.sort_by(|a, b| a.partial_cmp(b).unwrap());
     residuals

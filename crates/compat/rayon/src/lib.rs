@@ -1,23 +1,18 @@
 //! Offline stand-in for [rayon](https://docs.rs/rayon) providing exactly the
 //! API surface this workspace uses: `par_iter` / `par_iter_mut` /
-//! `par_chunks` / `par_chunks_mut` on slices, `into_par_iter` on ranges, and
-//! the `zip` / `enumerate` / `map` / `for_each` / `sum` / `collect`
-//! combinators, plus [`current_num_threads`].
+//! `par_chunks` / `par_chunks_mut` on slices, the `zip` / `enumerate`
+//! adapters and the `for_each` consumer, plus [`current_num_threads`].
 //!
 //! Parallelism is real: consumers split the iterator into one contiguous
 //! piece per thread and drain each piece on a `std::thread::scope` thread.
 //! There is no work stealing — pieces are equal-sized — which is the right
 //! trade for the regular, data-parallel kernels of this repository.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice, ParallelSliceMut};
 }
 
 /// Process-wide thread-count override installed by
@@ -108,14 +103,6 @@ pub trait ParallelIterator: Sized + Send {
 
     // ------------------------------------------------------------ adapters
 
-    fn map<R, F>(self, f: F) -> Map<Self, F>
-    where
-        R: Send,
-        F: Fn(Self::Item) -> R + Sync + Send + Clone,
-    {
-        Map { base: self, f }
-    }
-
     fn zip<B>(self, other: B) -> Zip<Self, B::Iter>
     where
         B: IntoParallelIterator,
@@ -153,34 +140,6 @@ pub trait ParallelIterator: Sized + Send {
             }
         });
     }
-
-    fn sum<S>(self) -> S
-    where
-        S: Send + std::iter::Sum<Self::Item> + std::iter::Sum<S>,
-    {
-        let pieces = split_for_threads(self);
-        if pieces.len() == 1 {
-            return pieces
-                .into_iter()
-                .map(|p| p.pi_serial().sum::<S>())
-                .sum::<S>();
-        }
-        let partials: Vec<S> = std::thread::scope(|s| {
-            let handles: Vec<_> = pieces
-                .into_iter()
-                .map(|p| s.spawn(move || p.pi_serial().sum::<S>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        partials.into_iter().sum()
-    }
-
-    fn collect<C>(self) -> C
-    where
-        C: FromParallelIterator<Self::Item>,
-    {
-        C::from_par_iter(self)
-    }
 }
 
 /// Split `iter` into at most `current_num_threads()` contiguous pieces.
@@ -217,45 +176,6 @@ impl<I: ParallelIterator> IntoParallelIterator for I {
     type Item = I::Item;
     fn into_par_iter(self) -> I {
         self
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Iter = ParRange;
-    type Item = usize;
-    fn into_par_iter(self) -> ParRange {
-        ParRange(self)
-    }
-}
-
-/// Collecting the results of a parallel iterator (order-preserving).
-pub trait FromParallelIterator<T: Send>: Sized {
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self;
-}
-
-impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Vec<T> {
-        let n = iter.pi_len();
-        let pieces = split_for_threads(iter);
-        if pieces.len() == 1 {
-            let mut out = Vec::with_capacity(n);
-            for p in pieces {
-                out.extend(p.pi_serial());
-            }
-            return out;
-        }
-        let parts: Vec<Vec<T>> = std::thread::scope(|s| {
-            let handles: Vec<_> = pieces
-                .into_iter()
-                .map(|p| s.spawn(move || p.pi_serial().collect::<Vec<T>>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let mut out = Vec::with_capacity(n);
-        for part in parts {
-            out.extend(part);
-        }
-        out
     }
 }
 
@@ -359,56 +279,7 @@ impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
     }
 }
 
-/// Parallel `Range<usize>` (`(0..n).into_par_iter()`).
-pub struct ParRange(Range<usize>);
-
-impl ParallelIterator for ParRange {
-    type Item = usize;
-    type Serial = Range<usize>;
-    fn pi_len(&self) -> usize {
-        self.0.len()
-    }
-    fn pi_split_at(self, index: usize) -> (Self, Self) {
-        let mid = self.0.start + index;
-        (ParRange(self.0.start..mid), ParRange(mid..self.0.end))
-    }
-    fn pi_serial(self) -> Self::Serial {
-        self.0
-    }
-}
-
 // ---------------------------------------------------------------- adapters
-
-pub struct Map<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, R, F> ParallelIterator for Map<I, F>
-where
-    I: ParallelIterator,
-    R: Send,
-    F: Fn(I::Item) -> R + Sync + Send + Clone,
-{
-    type Item = R;
-    type Serial = std::iter::Map<I::Serial, F>;
-    fn pi_len(&self) -> usize {
-        self.base.pi_len()
-    }
-    fn pi_split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.pi_split_at(index);
-        (
-            Map {
-                base: l,
-                f: self.f.clone(),
-            },
-            Map { base: r, f: self.f },
-        )
-    }
-    fn pi_serial(self) -> Self::Serial {
-        self.base.pi_serial().map(self.f)
-    }
-}
 
 pub struct Zip<A, B> {
     a: A,
@@ -528,29 +399,14 @@ mod tests {
     }
 
     #[test]
-    fn sum_matches_serial() {
-        let v: Vec<f32> = (0..100_000).map(|i| (i % 17) as f32).collect();
-        let par: f64 = v
-            .par_chunks(4096)
-            .map(|c| c.iter().map(|&x| x as f64).sum::<f64>())
-            .sum();
-        let ser: f64 = v.iter().map(|&x| x as f64).sum();
-        assert!((par - ser).abs() < 1e-6);
-    }
-
-    #[test]
-    fn range_map_collect_in_order() {
-        let v: Vec<usize> = (0..5000).into_par_iter().map(|i| i * 3).collect();
-        assert_eq!(v.len(), 5000);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3));
-    }
-
-    #[test]
     fn zip_stops_at_shorter() {
         let a = [1i64; 10];
         let b = [2i64; 7];
-        let s: i64 = a.par_iter().zip(b.par_iter()).map(|(&x, &y)| x * y).sum();
-        assert_eq!(s, 14);
+        let mut out = [0i64; 10];
+        out.par_iter_mut()
+            .zip(a.par_iter().zip(b.par_iter()))
+            .for_each(|(o, (&x, &y))| *o = x * y);
+        assert_eq!(out, [2, 2, 2, 2, 2, 2, 2, 0, 0, 0]);
     }
 
     #[test]

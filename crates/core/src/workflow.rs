@@ -65,7 +65,8 @@ pub struct HybridForecaster<'a> {
     /// Simulator configuration of the fallback; each episode runs it
     /// under its own input's forcing.
     pub ocean: OceanConfig,
-    pub verifier_cfg: VerifierConfig,
+    /// Built once per forecaster: its column weights depend only on the grid.
+    pub verifier: Verifier,
 }
 
 impl<'a> HybridForecaster<'a> {
@@ -79,7 +80,7 @@ impl<'a> HybridForecaster<'a> {
             grid,
             surrogate,
             ocean,
-            verifier_cfg,
+            verifier: Verifier::new(grid, verifier_cfg),
         }
     }
 
@@ -93,7 +94,6 @@ impl<'a> HybridForecaster<'a> {
         &self,
         inputs: &[(&[Snapshot], &TidalForcing)],
     ) -> Result<(Vec<EpisodeOutcome>, PhaseSeconds), ForecastError> {
-        let verifier = Verifier::new(self.grid, self.verifier_cfg);
         let mut secs = PhaseSeconds::default();
         let windows: Vec<&[Snapshot]> = inputs.iter().map(|&(w, _)| w).collect();
         let predictions = phase("ccore.predict_batch", &mut secs.ai, || {
@@ -103,7 +103,7 @@ impl<'a> HybridForecaster<'a> {
         let mut out = Vec::with_capacity(inputs.len());
         for (&(window, forcing), prediction) in inputs.iter().zip(predictions) {
             let (verdicts, accepted) = phase("ccore.verify", &mut secs.verify, || {
-                verifier.accepts(&window[0], &prediction)
+                self.verifier.accepts(&window[0], &prediction)
             });
             let (forecast, route) = if accepted {
                 cobs::counter!("ccore.episodes.ai").inc();
@@ -263,14 +263,13 @@ mod tests {
         n_episodes: usize,
     ) -> (Vec<Snapshot>, Vec<Route>) {
         let t_out = fc.surrogate.model.cfg.t_out;
-        let verifier = Verifier::new(fc.grid, fc.verifier_cfg);
         let (mut current, mut out, mut routes) = (test[start].clone(), Vec::new(), Vec::new());
         for e in 0..n_episodes {
             let w0 = start + e * t_out;
             let mut window = vec![current.clone()];
             window.extend_from_slice(&test[w0 + 1..=w0 + t_out]);
             let prediction = fc.surrogate.try_predict_episode(&window).unwrap();
-            let verdicts = verifier.check_episode(&current, &prediction);
+            let verdicts = fc.verifier.check_episode(&current, &prediction);
             let episode = if verdicts.len() == t_out && verdicts.iter().all(|v| v.passed) {
                 routes.push(Route::Ai);
                 prediction

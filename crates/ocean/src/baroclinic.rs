@@ -8,7 +8,7 @@
 //! variables exhibit, and the depth mean is constrained to the barotropic
 //! solution after every solve (ROMS-style mode coupling).
 
-use crate::barotropic::PhysParams;
+use crate::barotropic::{PhysParams, MIN_DEPTH};
 use crate::domain::TileDomain;
 use crate::state::State;
 
@@ -89,10 +89,10 @@ pub fn step_baroclinic(dom: &TileDomain, state: &mut State, phys: &PhysParams, d
             }
             let zeta_f = 0.5 * (state.zeta.get(j, i - 1) + state.zeta.get(j, i));
             let h_f = dom.h_u(j, i);
-            let depth = (h_f + zeta_f).max(phys.min_depth);
+            let depth = (h_f + zeta_f).max(MIN_DEPTH);
             for k in 0..nz {
                 col[k] = state.u.get(k, j, i);
-                dz[k] = sigma.dz(k, h_f, zeta_f).max(phys.min_depth / nz as f64);
+                dz[k] = sigma.dz(k, h_f, zeta_f).max(MIN_DEPTH / nz as f64);
             }
             vertical_solve(&mut col, &dz, phys.kv, phys.drag_cd, dt_slow);
             // Mode coupling: replace the depth mean with ubar.
@@ -115,10 +115,10 @@ pub fn step_baroclinic(dom: &TileDomain, state: &mut State, phys: &PhysParams, d
             }
             let zeta_f = 0.5 * (state.zeta.get(j - 1, i) + state.zeta.get(j, i));
             let h_f = dom.h_v(j, i);
-            let depth = (h_f + zeta_f).max(phys.min_depth);
+            let depth = (h_f + zeta_f).max(MIN_DEPTH);
             for k in 0..nz {
                 col[k] = state.v.get(k, j, i);
-                dz[k] = sigma.dz(k, h_f, zeta_f).max(phys.min_depth / nz as f64);
+                dz[k] = sigma.dz(k, h_f, zeta_f).max(MIN_DEPTH / nz as f64);
             }
             vertical_solve(&mut col, &dz, phys.kv, phys.drag_cd, dt_slow);
             let mean: f64 = col.iter().zip(&dz).map(|(v, d)| v * d).sum::<f64>() / depth;
@@ -129,12 +129,12 @@ pub fn step_baroclinic(dom: &TileDomain, state: &mut State, phys: &PhysParams, d
         }
     }
 
-    diagnose_w(dom, state, phys);
+    diagnose_w(dom, state);
 }
 
 /// Integrate continuity upward to diagnose w at layer interfaces:
 /// `w[k+1] = w[k] - dz_k · div_h(u_k, v_k)`, `w[0] = 0` at the bottom.
-pub fn diagnose_w(dom: &TileDomain, state: &mut State, phys: &PhysParams) {
+pub fn diagnose_w(dom: &TileDomain, state: &mut State) {
     let (ny, nx, nz) = (dom.ny as isize, dom.nx as isize, dom.nz);
     let sigma = &dom.sigma;
     for j in 0..ny {
@@ -162,7 +162,6 @@ pub fn diagnose_w(dom: &TileDomain, state: &mut State, phys: &PhysParams) {
                 w -= flux / area;
                 state.w.set(k + 1, j, i, w);
             }
-            let _ = phys;
         }
     }
 }
@@ -260,7 +259,7 @@ mod tests {
 
     #[test]
     fn depth_mean_matches_ubar_after_coupling() {
-        let (dom, s, phys) = tidal_spinup();
+        let (dom, s, _) = tidal_spinup();
         let sigma = &dom.sigma;
         let mut checked = 0;
         for j in 0..dom.ny as isize {
@@ -270,7 +269,7 @@ mod tests {
                 }
                 let zeta_f = 0.5 * (s.zeta.get(j, i - 1) + s.zeta.get(j, i));
                 let h_f = dom.h_u(j, i);
-                let depth = (h_f + zeta_f).max(phys.min_depth);
+                let depth = (h_f + zeta_f).max(MIN_DEPTH);
                 let mean: f64 = (0..dom.nz)
                     .map(|k| s.u.get(k, j, i) * sigma.dz(k, h_f, zeta_f))
                     .sum::<f64>()

@@ -14,6 +14,10 @@ use crate::state::State;
 /// Gravitational acceleration (m/s²).
 pub const G: f64 = 9.81;
 
+/// Minimum total depth (m) guarding division in drying cells; the
+/// verifier treats a column shallower than this as dry.
+pub const MIN_DEPTH: f64 = 0.1;
+
 /// Physical/numerical parameters of the solver.
 #[derive(Clone, Copy, Debug)]
 pub struct PhysParams {
@@ -25,8 +29,6 @@ pub struct PhysParams {
     pub visc: f64,
     /// Vertical eddy viscosity (m²/s) for the baroclinic mode.
     pub kv: f64,
-    /// Minimum total depth (m) guarding division in drying cells.
-    pub min_depth: f64,
 }
 
 impl Default for PhysParams {
@@ -36,7 +38,6 @@ impl Default for PhysParams {
             drag_cd: 2.5e-3,
             visc: 2.0,
             kv: 0.02,
-            min_depth: 0.1,
         }
     }
 }
@@ -126,7 +127,7 @@ pub fn step_fast(dom: &TileDomain, state: &mut State, phys: &PhysParams, forcing
                 // Flather radiation with an incoming progressive wave.
                 let y = row_y(dom, j);
                 let z_ext = forcing.elevation(y, t);
-                let h_face = dom.h_u(j, i).max(phys.min_depth);
+                let h_face = dom.h_u(j, i).max(MIN_DEPTH);
                 let c = (G / h_face).sqrt();
                 let z_here = state.zeta.get(j, 0);
                 z_ext * c - c * (z_here - z_ext)
@@ -159,7 +160,7 @@ pub fn step_fast(dom: &TileDomain, state: &mut State, phys: &PhysParams, forcing
                     * ((pick_u(j, i - 1) - 2.0 * uc + pick_u(j, i + 1)) / dx2
                         + (pick_u(j - 1, i) - 2.0 * uc + pick_u(j + 1, i)) / dy2);
 
-                let depth = (dom.h_u(j, i) + 0.5 * (zw + ze)).max(phys.min_depth);
+                let depth = (dom.h_u(j, i) + 0.5 * (zw + ze)).max(MIN_DEPTH);
                 let explicit = uc + dt * (pgrad + cor + visc);
                 // Semi-implicit quadratic drag for stability in shallows.
                 explicit / (1.0 + dt * phys.drag_cd * uc.abs() / depth)
@@ -200,7 +201,7 @@ pub fn step_fast(dom: &TileDomain, state: &mut State, phys: &PhysParams, forcing
                     * ((pick_v(j, i - 1) - 2.0 * vc + pick_v(j, i + 1)) / dx2
                         + (pick_v(j - 1, i) - 2.0 * vc + pick_v(j + 1, i)) / dy2);
 
-                let depth = (dom.h_v(j, i) + 0.5 * (zs + zn)).max(phys.min_depth);
+                let depth = (dom.h_v(j, i) + 0.5 * (zs + zn)).max(MIN_DEPTH);
                 let explicit = vc + dt * (pgrad + cor + visc);
                 explicit / (1.0 + dt * phys.drag_cd * vc.abs() / depth)
             };
@@ -219,14 +220,14 @@ pub fn step_fast(dom: &TileDomain, state: &mut State, phys: &PhysParams, forcing
             }
             let d = |jj: isize, ii: isize| dom.h.get(jj, ii) + state.zeta.get(jj, ii);
 
-            // Wetting/drying guard: face depths never go below min_depth
+            // Wetting/drying guard: face depths never go below MIN_DEPTH
             // (ROMS uses dedicated wet/dry masking; the clamp is the
             // simplest stable equivalent and only bites in near-dry
             // cells on the shallow eastern flats).
-            let hu_w = (0.5 * (d(j, i - 1) + d(j, i))).max(phys.min_depth);
-            let hu_e = (0.5 * (d(j, i) + d(j, i + 1))).max(phys.min_depth);
-            let hv_s = (0.5 * (d(j - 1, i) + d(j, i))).max(phys.min_depth);
-            let hv_n = (0.5 * (d(j, i) + d(j + 1, i))).max(phys.min_depth);
+            let hu_w = (0.5 * (d(j, i - 1) + d(j, i))).max(MIN_DEPTH);
+            let hu_e = (0.5 * (d(j, i) + d(j, i + 1))).max(MIN_DEPTH);
+            let hv_s = (0.5 * (d(j - 1, i) + d(j, i))).max(MIN_DEPTH);
+            let hv_n = (0.5 * (d(j, i) + d(j + 1, i))).max(MIN_DEPTH);
 
             let flux_w = hu_w * state.ubar_next.get(j, i) * dom.dy_at(j);
             let flux_e = hu_e * state.ubar_next.get(j, i + 1) * dom.dy_at(j);

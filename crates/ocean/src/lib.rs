@@ -24,7 +24,7 @@ pub mod par;
 pub mod snapshot;
 pub mod state;
 
-pub use barotropic::{PhysParams, G};
+pub use barotropic::{PhysParams, G, MIN_DEPTH};
 pub use domain::TileDomain;
 pub use forcing::{Constituent, ForcingError, TidalForcing};
 pub use model::{OceanConfig, Roms};

@@ -104,7 +104,7 @@ impl Roms {
     /// Replace the model state from a cell-centered snapshot (hybrid
     /// workflow fallback entry point).
     pub fn load(&mut self, snap: &Snapshot) {
-        self.state = load_snapshot(&self.dom, snap, &self.cfg.phys);
+        self.state = load_snapshot(&self.dom, snap);
     }
 
     /// Record `n` snapshots `interval` seconds apart (the first after one

@@ -7,6 +7,7 @@
 //! snapshots are produced in `f32` (the compute dtype of the surrogate);
 //! the pipeline's store further compresses to `f16`.
 
+use crate::barotropic::MIN_DEPTH;
 use crate::domain::TileDomain;
 use crate::state::State;
 
@@ -137,11 +138,7 @@ pub fn take_snapshot(dom: &TileDomain, state: &State) -> Snapshot {
 /// [`take_snapshot`], used when the hybrid workflow hands an AI-predicted
 /// state back to the simulator). Faces average adjacent centers; `w` is
 /// re-diagnosed by the next baroclinic step.
-pub fn load_snapshot(
-    dom: &TileDomain,
-    snap: &Snapshot,
-    phys: &crate::barotropic::PhysParams,
-) -> State {
+pub fn load_snapshot(dom: &TileDomain, snap: &Snapshot) -> State {
     assert_eq!((snap.ny, snap.nx, snap.nz), (dom.ny, dom.nx, dom.nz));
     let (nz, ny, nx) = (dom.nz, dom.ny as isize, dom.nx as isize);
     let mut s = State::rest(dom);
@@ -210,7 +207,7 @@ pub fn load_snapshot(
             }
             let zeta_f = 0.5 * (s.zeta.get(j, i - 1) + s.zeta.get(j, i));
             let h_f = dom.h_u(j, i);
-            let depth = (h_f + zeta_f).max(phys.min_depth);
+            let depth = (h_f + zeta_f).max(MIN_DEPTH);
             let mean: f64 = (0..nz)
                 .map(|k| s.u.get(k, j, i) * sigma.dz(k, h_f, zeta_f))
                 .sum::<f64>()
@@ -225,7 +222,7 @@ pub fn load_snapshot(
             }
             let zeta_f = 0.5 * (s.zeta.get(j - 1, i) + s.zeta.get(j, i));
             let h_f = dom.h_v(j, i);
-            let depth = (h_f + zeta_f).max(phys.min_depth);
+            let depth = (h_f + zeta_f).max(MIN_DEPTH);
             let mean: f64 = (0..nz)
                 .map(|k| s.v.get(k, j, i) * sigma.dz(k, h_f, zeta_f))
                 .sum::<f64>()
@@ -233,14 +230,13 @@ pub fn load_snapshot(
             s.vbar.set(j, i, mean);
         }
     }
-    crate::baroclinic::diagnose_w(dom, &mut s, phys);
+    crate::baroclinic::diagnose_w(dom, &mut s);
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::barotropic::PhysParams;
     use cgrid::{EstuaryParams, Grid, GridParams};
 
     fn dom() -> TileDomain {
@@ -314,7 +310,6 @@ mod tests {
     #[test]
     fn load_snapshot_roundtrips_zeta_and_interior_velocity() {
         let d = dom();
-        let phys = PhysParams::default();
         let mut s = State::rest(&d);
         // Smooth field so face<->center interpolation is nearly exact.
         for j in 0..d.ny as isize {
@@ -334,7 +329,7 @@ mod tests {
             }
         }
         let snap = take_snapshot(&d, &s);
-        let s2 = load_snapshot(&d, &snap, &phys);
+        let s2 = load_snapshot(&d, &snap);
         // ζ roundtrips exactly (up to f32).
         for j in 0..d.ny as isize {
             for i in 0..d.nx as isize {

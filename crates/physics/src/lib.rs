@@ -1,13 +1,12 @@
 //! # coastal-physics
 //!
 //! Physics-based verification of simulation and surrogate output: the
-//! water-mass conservation residual of the paper's Eq. 4/5 ([`mass`]),
+//! water-mass conservation residual of the paper's Eq. 4/5 (`mass`),
 //! threshold verdicts, episode checking and pass-rate curves ([`verify`]).
 
-pub mod mass;
+mod mass;
 pub mod verify;
 
-pub use mass::{water_mass_residual, ResidualField};
 pub use verify::{
     pass_rate, pass_rate_curve, Verdict, Verifier, VerifierConfig, ACCEPTED_THRESHOLD,
     PAPER_THRESHOLDS,

@@ -9,189 +9,135 @@
 //! The residual is the absolute difference of the two sides, normalized by
 //! cell area — units m/s, matching the paper's thresholds (3e-4 … 5.5e-4
 //! m/s; "smaller than 5.0e-4 m/s is typically considered acceptable in
-//! oceanography").
+//! oceanography"). Inputs are *cell-centered* snapshots (the surrogate's
+//! output format); face values average the adjacent centers.
 //!
-//! Inputs are *cell-centered* snapshots (the AI surrogate's output format):
-//! face values are reconstructed by averaging adjacent centers, exactly the
-//! information available when verifying a neural prediction.
+//! The Shchepetkin transform gives every layer a fixed share of its column,
+//! `dz_k = (h + ζ)·ΔC_k` with `ΔC_k = C(s_{k+1}) − C(s_k)`, so a depth
+//! average is `ū = Σ_k u_k ΔC_k`: one serial pass per snapshot, shared by
+//! both transitions the snapshot belongs to.
+//!
+//! Drying: as in the solver, ζ is free and face depths are clamped to
+//! [`cocean::MIN_DEPTH`]. Columns below it ([`Verdict::dry_columns`]) stay in
+//! the mean and must also pass the threshold on their own mean.
 
 use cgrid::Grid;
-use cocean::Snapshot;
-use rayon::prelude::*;
+use cocean::{Snapshot, MIN_DEPTH};
 
-/// Residual field plus summary statistics for one snapshot pair.
-#[derive(Clone, Debug)]
-pub struct ResidualField {
-    pub ny: usize,
-    pub nx: usize,
-    /// Per-cell |residual| (m/s); land cells are NaN-free zeros but are
-    /// excluded from the statistics.
-    pub values: Vec<f64>,
-    /// Mean |residual| over wet cells (m/s) — the paper's pass metric.
-    pub mean: f64,
-    /// Max |residual| over wet cells.
-    pub max: f64,
-    /// Wet cell count.
-    pub wet_cells: usize,
+use crate::verify::Verdict;
+
+/// The grid's fixed part of the residual, computed once per grid.
+pub(crate) struct MassBalance {
+    /// Column weights `ΔC_k`, bottom layer first.
+    weights: Vec<f64>,
+    wet: Vec<bool>,
+    h: Vec<f64>,
+    dx: Vec<f64>,
+    dy: Vec<f64>,
 }
 
-/// Depth-average a cell-centered 3-D velocity using sigma thicknesses.
-fn depth_average(
-    grid: &Grid,
-    snap: &Snapshot,
-    field: &[f32],
-    j: usize,
-    i: usize,
-    zeta: f64,
-) -> f64 {
-    let h = grid.h.get(j as isize, i as isize);
-    let total = (h + zeta).max(1e-6);
-    let mut acc = 0.0;
-    for k in 0..snap.nz {
-        let dz = grid.sigma.dz(k, h, zeta);
-        acc += field[snap.idx3(k, j, i)] as f64 * dz;
-    }
-    acc / total
+/// One snapshot with its depth-averaged velocities at cell centers.
+pub(crate) struct ColumnMeans<'s> {
+    snap: &'s Snapshot,
+    u: Vec<f64>,
+    v: Vec<f64>,
 }
 
-/// Compute the residual field between two consecutive snapshots.
-///
-/// The time derivative uses the forward difference of ζ; the boundary flux
-/// uses the time-mean of the two snapshots' depth-averaged velocities
-/// (second-order in the snapshot interval).
-pub fn water_mass_residual(grid: &Grid, before: &Snapshot, after: &Snapshot) -> ResidualField {
-    assert_eq!(
-        (before.ny, before.nx, before.nz),
-        (after.ny, after.nx, after.nz)
-    );
-    assert!(
-        after.time > before.time,
-        "snapshots must be time-ordered: {} !> {}",
-        after.time,
-        before.time
-    );
-    let (ny, nx) = (before.ny, before.nx);
-    let dt = after.time - before.time;
-
-    // Pre-compute depth-averaged velocities at cell centers, time-averaged
-    // over the pair.
-    let wet = |j: usize, i: usize| grid.mask_rho.get(j as isize, i as isize) > 0.5;
-    let mut ubar = vec![0.0f64; ny * nx];
-    let mut vbar = vec![0.0f64; ny * nx];
-    ubar.par_chunks_mut(nx)
-        .zip(vbar.par_chunks_mut(nx))
-        .enumerate()
-        .for_each(|(j, (urow, vrow))| {
-            for i in 0..nx {
-                if !wet(j, i) {
-                    continue;
-                }
-                let z0 = before.zeta[before.idx2(j, i)] as f64;
-                let z1 = after.zeta[after.idx2(j, i)] as f64;
-                urow[i] = 0.5
-                    * (depth_average(grid, before, &before.u, j, i, z0)
-                        + depth_average(grid, after, &after.u, j, i, z1));
-                vrow[i] = 0.5
-                    * (depth_average(grid, before, &before.v, j, i, z0)
-                        + depth_average(grid, after, &after.v, j, i, z1));
-            }
-        });
-
-    // Time-mean total depth per cell.
-    let depth_at = |j: usize, i: usize| -> f64 {
-        let h = grid.h.get(j as isize, i as isize);
-        let z = 0.5 * (before.zeta[before.idx2(j, i)] + after.zeta[after.idx2(j, i)]) as f64;
-        h + z
-    };
-
-    let values: Vec<f64> = (0..ny * nx)
-        .into_par_iter()
-        .map(|cell| {
-            let (j, i) = (cell / nx, cell % nx);
-            if !wet(j, i) {
-                return 0.0;
-            }
-            let area = grid.cell_area(j, i);
-            let dzeta_dt =
-                (after.zeta[after.idx2(j, i)] - before.zeta[before.idx2(j, i)]) as f64 / dt;
-            // Storage term per unit area: ∂ζ/∂t (h is constant in time).
-            let storage = dzeta_dt;
-
-            // Net inflow per unit area: -div[(h+ζ)ū]. Face values average
-            // the two adjacent centers; land neighbors contribute no flux.
-            let face = |ja: usize, ia: usize, jb: usize, ib: usize, vel: &[f64]| -> f64 {
-                if !wet(jb, ib) {
-                    return 0.0;
-                }
-                let d = 0.5 * (depth_at(ja, ia) + depth_at(jb, ib));
-                let v = 0.5 * (vel[ja * nx + ia] + vel[jb * nx + ib]);
-                d * v
-            };
-            let dx = grid.dx[i];
-            let dy = grid.dy[j];
-            let flux_e = if i + 1 < nx {
-                face(j, i, j, i + 1, &ubar) * dy
-            } else {
-                0.0
-            };
-            let flux_w = if i > 0 {
-                face(j, i, j, i - 1, &ubar) * dy
-            } else {
-                // Open west boundary: use the cell's own value.
-                depth_at(j, i) * ubar[j * nx + i] * dy
-            };
-            let flux_n = if j + 1 < ny {
-                face(j, i, j + 1, i, &vbar) * dy_to_dx(dx)
-            } else {
-                0.0
-            };
-            let flux_s = if j > 0 {
-                face(j, i, j - 1, i, &vbar) * dy_to_dx(dx)
-            } else {
-                0.0
-            };
-
-            let inflow = -(flux_e - flux_w + flux_n - flux_s) / area;
-            (storage - inflow).abs()
-        })
-        .collect();
-
-    let mut mean = 0.0;
-    let mut max = 0.0f64;
-    let mut wet_cells = 0usize;
-    for j in 0..ny {
-        for i in 0..nx {
-            if wet(j, i) {
-                let v = values[j * nx + i];
-                mean += v;
-                max = max.max(v);
-                wet_cells += 1;
-            }
+impl MassBalance {
+    pub(crate) fn new(grid: &Grid) -> Self {
+        let c = |k: usize| grid.sigma.c_of_s(grid.sigma.s_w(k));
+        let mask = grid.mask_rho.interior_to_vec();
+        Self {
+            weights: (0..grid.sigma.nz).map(|k| c(k + 1) - c(k)).collect(),
+            wet: mask.iter().map(|&m| m > 0.5).collect(),
+            h: grid.h.interior_to_vec(),
+            dx: grid.dx.clone(),
+            dy: grid.dy.clone(),
         }
     }
-    mean /= wet_cells.max(1) as f64;
 
-    ResidualField {
-        ny,
-        nx,
-        values,
-        mean,
-        max,
-        wet_cells,
+    pub(crate) fn column_means<'s>(&self, snap: &'s Snapshot) -> ColumnMeans<'s> {
+        let (n, nz) = (self.h.len(), self.weights.len());
+        assert_eq!(
+            (snap.ny, snap.nx, snap.nz),
+            (self.dy.len(), self.dx.len(), nz)
+        );
+        assert!(snap.zeta.len() == n && snap.u.len() == n * nz && snap.v.len() == n * nz);
+        let mean = |field: &[f32]| {
+            let mut out = vec![0.0; n];
+            for (&w, layer) in self.weights.iter().zip(field.chunks_exact(n)) {
+                for (o, &x) in out.iter_mut().zip(layer) {
+                    *o += x as f64 * w;
+                }
+            }
+            out
+        };
+        let (u, v) = (mean(&snap.u), mean(&snap.v));
+        ColumnMeans { snap, u, v }
     }
-}
 
-/// v-face flux length is dx (the face spans the cell width).
-#[inline]
-fn dy_to_dx(dx: f64) -> f64 {
-    dx
+    /// Residual of one transition: the forward difference of ζ against the
+    /// boundary flux of the two snapshots' time-mean ū, v̄.
+    pub(crate) fn verdict(&self, a: &ColumnMeans, b: &ColumnMeans, threshold: f64) -> Verdict {
+        let (before, after) = (a.snap, b.snap);
+        assert!(after.time > before.time, "snapshots must be time-ordered");
+        let (ny, nx) = (self.dy.len(), self.dx.len());
+        let dt = after.time - before.time;
+        let time_mean = |x: &[f64], y: &[f64]| -> Vec<f64> {
+            x.iter().zip(y).map(|(p, q)| 0.5 * (p + q)).collect()
+        };
+        let (ubar, vbar) = (time_mean(&a.u, &b.u), time_mean(&a.v, &b.v));
+
+        // Time-mean total depth of every wet column.
+        let depth: Vec<Option<f64>> = (0..ny * nx)
+            .map(|c| self.wet[c].then(|| self.h[c] + 0.5 * (before.zeta[c] + after.zeta[c]) as f64))
+            .collect();
+
+        let (mut sum, mut max, mut cells, mut dry_sum, mut dry_columns) = (0.0, 0.0f64, 0, 0.0, 0);
+        for (c, d) in depth.iter().enumerate() {
+            let Some(d) = *d else { continue };
+            let (j, i) = (c / nx, c % nx);
+            let dry = self.h[c] + (before.zeta[c].min(after.zeta[c]) as f64) < MIN_DEPTH;
+            // Storage term per unit area: ∂ζ/∂t (h is constant in time).
+            let storage = (after.zeta[c] - before.zeta[c]) as f64 / dt;
+            // Flux per unit face length: the two centers' mean depth (at least
+            // MIN_DEPTH, as in the solver) times their mean velocity; land and
+            // missing neighbors pass none.
+            let face = |n: Option<usize>, vel: &[f64]| match n.map(|n| (n, depth[n])) {
+                Some((n, Some(dn))) => (0.5 * (d + dn)).max(MIN_DEPTH) * (0.5 * (vel[c] + vel[n])),
+                _ => 0.0,
+            };
+            let flux_e = face((i + 1 < nx).then_some(c + 1), &ubar);
+            let flux_n = face((j + 1 < ny).then_some(c + nx), &vbar);
+            let flux_s = face((j > 0).then(|| c - nx), &vbar);
+            // The open west boundary carries the cell's own value.
+            let flux_w = face(Some(if i > 0 { c - 1 } else { c }), &ubar);
+            // Per unit area: a u-face's length over the cell area is 1/dx.
+            let inflow = -((flux_e - flux_w) / self.dx[i] + (flux_n - flux_s) / self.dy[j]);
+            let r = (storage - inflow).abs();
+            if dry {
+                (dry_sum, dry_columns) = (dry_sum + r, dry_columns + 1);
+            }
+            sum += r;
+            max = max.max(r);
+            cells += 1;
+        }
+        let mean_residual = sum / cells.max(1) as f64;
+        let dry_passed = dry_sum <= threshold * dry_columns as f64;
+        Verdict {
+            mean_residual,
+            max_residual: max,
+            passed: cells > 0 && mean_residual <= threshold && dry_passed,
+            dry_columns,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use cgrid::{EstuaryParams, GridParams};
-    use cocean::{OceanConfig, Roms, TidalForcing};
+    use crate::verify::{Verdict, Verifier, VerifierConfig, ACCEPTED_THRESHOLD};
+    use cgrid::{EstuaryParams, Grid, GridParams};
+    use cocean::{OceanConfig, Roms, Snapshot, TidalForcing};
 
     fn grid() -> Grid {
         Grid::build(&GridParams {
@@ -215,16 +161,20 @@ mod tests {
         (snaps[0].clone(), snaps[1].clone())
     }
 
+    fn check(g: &Grid, a: &Snapshot, b: &Snapshot) -> Verdict {
+        Verifier::new(g, VerifierConfig::default()).check_pair(a, b)
+    }
+
     #[test]
     fn simulator_output_has_small_residual() {
         let g = grid();
         let (a, b) = simulated_pair(&g);
-        let r = water_mass_residual(&g, &a, &b);
-        assert!(r.wet_cells > 200);
+        let r = check(&g, &a, &b);
+        assert_eq!(r.dry_columns, 0);
         assert!(
-            r.mean < 5.0e-4,
+            r.mean_residual < 5.0e-4,
             "simulator must pass the oceanographic threshold: mean {}",
-            r.mean
+            r.mean_residual
         );
     }
 
@@ -232,7 +182,7 @@ mod tests {
     fn corrupted_output_fails() {
         let g = grid();
         let (a, b) = simulated_pair(&g);
-        let r_clean = water_mass_residual(&g, &a, &b);
+        let r_clean = check(&g, &a, &b).mean_residual;
         // Corrupt ζ with a large blob — mass appears from nowhere.
         let mut bad = b.clone();
         for j in 8..14 {
@@ -243,22 +193,18 @@ mod tests {
                 }
             }
         }
-        let r_bad = water_mass_residual(&g, &a, &bad);
+        let r_bad = check(&g, &a, &bad).mean_residual;
         assert!(
-            r_clean.mean <= crate::verify::ACCEPTED_THRESHOLD,
-            "clean simulation must pass: {}",
-            r_clean.mean
+            r_clean <= ACCEPTED_THRESHOLD,
+            "clean simulation must pass: {r_clean}"
         );
         assert!(
-            r_bad.mean > crate::verify::ACCEPTED_THRESHOLD,
-            "corruption must fail the oceanographic threshold: {}",
-            r_bad.mean
+            r_bad > ACCEPTED_THRESHOLD,
+            "corruption must fail the oceanographic threshold: {r_bad}"
         );
         assert!(
-            r_bad.mean > 3.0 * r_clean.mean,
-            "corruption must raise the residual: {} vs {}",
-            r_bad.mean,
-            r_clean.mean
+            r_bad > 3.0 * r_clean,
+            "corruption must raise the residual: {r_bad} vs {r_clean}"
         );
     }
 
@@ -272,9 +218,9 @@ mod tests {
             s.time = t;
             s
         };
-        let r = water_mass_residual(&g, &mk(0.0), &mk(1800.0));
-        assert!(r.mean < 1e-12);
-        assert!(r.max < 1e-12);
+        let r = check(&g, &mk(0.0), &mk(1800.0));
+        assert!(r.mean_residual < 1e-12);
+        assert!(r.max_residual < 1e-12);
     }
 
     #[test]
@@ -283,16 +229,16 @@ mod tests {
         // with a uniform spurious mass injection.
         let g = grid();
         let (a, b) = simulated_pair(&g);
-        let r_clean = water_mass_residual(&g, &a, &b);
+        let r_clean = check(&g, &a, &b).mean_residual;
         let bump = |amount: f32| {
             let mut s = b.clone();
             for v in s.zeta.iter_mut() {
                 *v += amount;
             }
-            water_mass_residual(&g, &a, &s).mean
+            check(&g, &a, &s).mean_residual
         };
-        let d_small = bump(0.05) - r_clean.mean;
-        let d_large = bump(0.5) - r_clean.mean;
+        let d_small = bump(0.05) - r_clean;
+        let d_large = bump(0.5) - r_clean;
         assert!(d_small > 0.0);
         assert!(
             d_large > 5.0 * d_small,
@@ -302,16 +248,30 @@ mod tests {
 
     #[test]
     fn land_cells_excluded() {
+        // Whatever a snapshot holds on land leaves the verdict unchanged.
         let g = grid();
         let (a, b) = simulated_pair(&g);
-        let r = water_mass_residual(&g, &a, &b);
-        for j in 0..r.ny {
-            for i in 0..r.nx {
-                if g.mask_rho.get(j as isize, i as isize) < 0.5 {
-                    assert_eq!(r.values[j * r.nx + i], 0.0);
+        let clean = check(&g, &a, &b);
+        let (mut a2, mut b2) = (a.clone(), b.clone());
+        let mut land = 0;
+        for j in 0..a.ny {
+            for i in 0..a.nx {
+                if g.mask_rho.get(j as isize, i as isize) > 0.5 {
+                    continue;
+                }
+                land += 1;
+                for s in [&mut a2, &mut b2] {
+                    let c = s.idx2(j, i);
+                    s.zeta[c] = 3.0;
+                    for k in 0..s.nz {
+                        let c3 = s.idx3(k, j, i);
+                        s.u[c3] = 5.0;
+                        s.v[c3] = -5.0;
+                    }
                 }
             }
         }
-        assert_eq!(r.wet_cells, g.wet_cells());
+        assert!(land > 0);
+        assert_eq!(check(&g, &a2, &b2), clean);
     }
 }

@@ -4,7 +4,7 @@
 use cgrid::Grid;
 use cocean::Snapshot;
 
-use crate::mass::{water_mass_residual, ResidualField};
+use crate::mass::MassBalance;
 
 /// Thresholds the paper sweeps (m/s).
 pub const PAPER_THRESHOLDS: [f64; 6] = [3.0e-4, 3.5e-4, 4.0e-4, 4.5e-4, 5.0e-4, 5.5e-4];
@@ -28,28 +28,34 @@ impl Default for VerifierConfig {
 }
 
 /// Outcome of verifying one snapshot transition.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Verdict {
+    /// Mean |residual| (m/s) over the wet columns — the paper's pass metric.
     pub mean_residual: f64,
     pub max_residual: f64,
     pub passed: bool,
+    /// Wet columns below `MIN_DEPTH` in either snapshot; their mean passes too.
+    pub dry_columns: usize,
 }
 
 /// Physics-based verifier over a fixed grid.
-pub struct Verifier<'g> {
-    grid: &'g Grid,
+pub struct Verifier {
+    mass: MassBalance,
     pub cfg: VerifierConfig,
 }
 
-impl<'g> Verifier<'g> {
-    pub fn new(grid: &'g Grid, cfg: VerifierConfig) -> Self {
-        Self { grid, cfg }
+impl Verifier {
+    pub fn new(grid: &Grid, cfg: VerifierConfig) -> Self {
+        Self {
+            mass: MassBalance::new(grid),
+            cfg,
+        }
     }
 
     /// Verify one transition (consecutive snapshots).
     pub fn check_pair(&self, before: &Snapshot, after: &Snapshot) -> Verdict {
-        let r = water_mass_residual(self.grid, before, after);
-        self.verdict(&r)
+        let mut one = self.transitions(before, std::slice::from_ref(after));
+        one.next().expect("one transition")
     }
 
     /// Verify a whole episode: initial condition followed by predicted
@@ -57,15 +63,11 @@ impl<'g> Verifier<'g> {
     /// per-transition verdicts (the workflow stops at the first failure).
     pub fn check_episode(&self, initial: &Snapshot, predicted: &[Snapshot]) -> Vec<Verdict> {
         let mut out = Vec::with_capacity(predicted.len());
-        let mut prev = initial;
-        for snap in predicted {
-            let v = self.check_pair(prev, snap);
-            let failed = !v.passed;
+        for v in self.transitions(initial, predicted) {
             out.push(v);
-            if failed {
+            if !v.passed {
                 break;
             }
-            prev = snap;
         }
         out
     }
@@ -82,18 +84,28 @@ impl<'g> Verifier<'g> {
     /// Mean residual of every transition in a trajectory (used for the
     /// pass-rate curve where each inference is judged independently).
     pub fn residual_series(&self, trajectory: &[Snapshot]) -> Vec<f64> {
-        trajectory
-            .windows(2)
-            .map(|w| water_mass_residual(self.grid, &w[0], &w[1]).mean)
+        let Some((first, rest)) = trajectory.split_first() else {
+            return Vec::new();
+        };
+        self.transitions(first, rest)
+            .map(|v| v.mean_residual)
             .collect()
     }
 
-    fn verdict(&self, r: &ResidualField) -> Verdict {
-        Verdict {
-            mean_residual: r.mean,
-            max_residual: r.max,
-            passed: r.mean <= self.cfg.threshold,
-        }
+    /// Verdicts of `first → rest[0] → rest[1] …`, computed lazily: each
+    /// snapshot is depth-averaged once and shared by its two transitions.
+    fn transitions<'a>(
+        &'a self,
+        first: &'a Snapshot,
+        rest: &'a [Snapshot],
+    ) -> impl Iterator<Item = Verdict> + 'a {
+        let mut prev = self.mass.column_means(first);
+        rest.iter().map(move |snap| {
+            let next = self.mass.column_means(snap);
+            let v = self.mass.verdict(&prev, &next, self.cfg.threshold);
+            prev = next;
+            v
+        })
     }
 }
 
@@ -134,8 +146,7 @@ mod tests {
         assert_eq!(pass_rate(&[1e-5], 1e-4), 1.0);
     }
 
-    #[test]
-    fn episode_check_stops_at_first_failure() {
+    fn recorded(n: usize) -> (Grid, Vec<Snapshot>) {
         use cgrid::{EstuaryParams, GridParams};
         use cocean::{OceanConfig, Roms, TidalForcing};
         let grid = Grid::build(&GridParams {
@@ -152,8 +163,13 @@ mod tests {
         let mut m = Roms::new(&grid, cfg);
         m.spinup(2.0 * 3600.0);
         let interval = m.cfg.dt_slow();
-        let snaps = m.record(4, interval);
+        let snaps = m.record(n, interval);
+        (grid, snaps)
+    }
 
+    #[test]
+    fn episode_check_stops_at_first_failure() {
+        let (grid, snaps) = recorded(4);
         let verifier = Verifier::new(&grid, VerifierConfig::default());
         // Clean episode passes everywhere.
         let verdicts = verifier.check_episode(&snaps[0], &snaps[1..]);
@@ -170,5 +186,28 @@ mod tests {
         assert!(verdicts.len() <= 2, "must stop at the corrupted step");
         assert!(!verdicts.last().unwrap().passed);
         assert!(!verifier.accepts(&bad[0], &bad[1..]).1);
+    }
+
+    #[test]
+    fn shared_column_means_match_pairwise_checks_bitwise() {
+        let (grid, mut snaps) = recorded(6);
+        for v in snaps[3].zeta.iter_mut() {
+            *v += 0.3;
+        }
+        // Residuals are finite and never -0.0, so `==` is bitwise here.
+        for threshold in [ACCEPTED_THRESHOLD, 1e9] {
+            let verifier = Verifier::new(&grid, VerifierConfig { threshold });
+            let pairs: Vec<Verdict> = snaps
+                .windows(2)
+                .map(|w| verifier.check_pair(&w[0], &w[1]))
+                .collect();
+            let episode = verifier.check_episode(&snaps[0], &snaps[1..]);
+            let stop = pairs.iter().position(|v| !v.passed);
+            assert_eq!(stop.is_some(), threshold < 1.0, "{pairs:?}");
+            assert_eq!(episode.len(), stop.map_or(pairs.len(), |k| k + 1));
+            assert_eq!(episode, pairs[..episode.len()]);
+            let means: Vec<f64> = pairs.iter().map(|v| v.mean_residual).collect();
+            assert_eq!(verifier.residual_series(&snaps), means);
+        }
     }
 }
