@@ -60,9 +60,10 @@ impl std::error::Error for ThreadPoolBuildError {}
 ///
 /// Since this shim spawns scoped threads per consumer rather than keeping
 /// a pool, "building the global pool" just records the thread count that
-/// [`split_for_threads`] targets. **Documented divergence from rayon**:
-/// `build_global` may be called repeatedly — the last call wins — which is
-/// what lets the parity tests sweep thread counts within one process.
+/// every parallel section splits its work into. **Documented divergence
+/// from rayon**: `build_global` may be called repeatedly — the last call
+/// wins — which is what lets the parity tests sweep thread counts within
+/// one process.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,

@@ -29,8 +29,7 @@
 //! registry and emits kernel spans into whatever trace is active on the
 //! calling thread.
 //!
-//! The **ops plane** (PR 10) adds three more subsystems on the same
-//! substrate:
+//! The **ops plane** adds two more subsystems on the same substrate:
 //!
 //! - [`recorder`] — an always-on rolling **flight recorder**: a bounded
 //!   ring of the last N completed request traces plus per-latency-bucket
@@ -41,21 +40,14 @@
 //!   alerting ([`slo::SloEngine`]); windows are driven through a
 //!   [`slo::Clock`] trait so tests never sleep.
 //!
-//! - [`drift`] — the **physics-drift watchdog** core: windowed pass-rate
-//!   and ζ summary statistics versus a calibration baseline, emitting
-//!   escalate/recover events that `cserve`'s governor turns into
-//!   precision-ladder steps and ROMS-fallback routing.
-//!
 //! These are scraped over HTTP by `cserve::ops` (`/metrics`, `/healthz`,
 //! `/readyz`, `/debug/traces`).
 
-pub mod drift;
 pub mod metrics;
 pub mod recorder;
 pub mod slo;
 pub mod trace;
 
-pub use drift::{DriftBaseline, DriftConfig, DriftEvent, DriftMonitor};
 pub use metrics::{global, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use recorder::{FlightRecorder, Outcome, RequestRecord};
 pub use slo::{AlertState, Clock, ManualClock, SloEngine, SloSpec, SloStatus, SystemClock};

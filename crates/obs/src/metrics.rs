@@ -195,7 +195,8 @@ impl Histogram {
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: f64,
-    /// Per-bucket counts (fixed [`HIST_BUCKETS`] geometry).
+    /// Per-bucket counts (fixed geometry: 96 log buckets, √2 apart from
+    /// 1e-9).
     pub buckets: Vec<u64>,
 }
 

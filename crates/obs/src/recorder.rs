@@ -16,7 +16,7 @@
 //! **Freezing**: when an anomaly fires — a recorded latency more than
 //! [`AnomalyPolicy::latency_spike_factor`]× the running mean (after
 //! [`AnomalyPolicy::min_samples`] warm-up), or an explicit
-//! [`FlightRecorder::freeze`] from e.g. the physics-drift watchdog — the
+//! [`FlightRecorder::freeze`] (an operator marking an incident) — the
 //! ring stops overwriting. The spiking record itself is retained (freeze
 //! happens *after* it is pushed); later records are counted as dropped.
 //! [`FlightRecorder::dump_json`] serializes the frozen state for an
@@ -282,9 +282,8 @@ impl FlightRecorder {
         crate::gauge!("obs.recorder.frozen").set(1.0);
     }
 
-    /// Freeze the ring explicitly (e.g. a physics-fail burst observed by
-    /// the drift watchdog). Idempotent: the first freeze's reason and
-    /// ring contents win.
+    /// Freeze the ring explicitly (e.g. an operator marking an incident).
+    /// Idempotent: the first freeze's reason and ring contents win.
     pub fn freeze(&self, reason: &str) {
         let mut inner = lock(&self.inner);
         let at_seq = inner.next_seq;

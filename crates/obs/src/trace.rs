@@ -8,10 +8,10 @@
 //! intervals measured without a guard on the stack (e.g. queue wait,
 //! observed as `enqueued → dequeued` from different threads).
 //!
-//! Cost model: tracing is **off by default** — a [`span!`] then costs one
-//! relaxed atomic load. Enable per process with [`set_enabled`] or
-//! `COASTAL_TRACE=1`. Enabled, a span is one short mutex hold on the
-//! trace's own data (never a global lock).
+//! Cost model: tracing is **off by default** — a
+//! [`span!`](crate::span!) then costs one relaxed atomic load. Enable per
+//! process with [`set_enabled`] or `COASTAL_TRACE=1`. Enabled, a span is
+//! one short mutex hold on the trace's own data (never a global lock).
 //!
 //! Span guards are panic-safe: a guard dropped during unwinding closes its
 //! span and restores the thread's span stack to the guard's parent, so a
@@ -480,8 +480,11 @@ mod tests {
     use std::time::Duration;
 
     fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        // Tests in this module share the process-wide flag; they only ever
-        // turn it on, so no teardown race.
+        // Tests in this module share the process-wide flag, and
+        // `disabled_span_is_noop` turns it off for a moment: they take
+        // turns, so no test sees another's switch.
+        static TURN: Mutex<()> = Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         f()
     }

@@ -32,11 +32,10 @@
 //! per-server burn-rate [SLO engine](cobs::slo). The **ops plane** reads
 //! them: [`ForecastServer::serve_ops`] starts a std-only HTTP server
 //! ([`OpsServer`]) exposing `/metrics` (Prometheus), `/metrics.json`,
-//! `/healthz`, `/readyz` and `/debug/traces`. The
-//! [`DriftGovernor`] closes the loop on model quality: windowed physics
-//! pass-rate / ζ drift steps serving down the precision ladder
-//! (int8 → f16 → f32) and finally to ROMS-fallback routing, all visible
-//! on `/healthz`.
+//! `/healthz`, `/readyz` and `/debug/traces`.
+//!
+//! Replicas serve at the precision of the [`ccore::SurrogateSpec`] they
+//! are deployed from: `spec.with_precision(p)` is the one switch.
 //!
 //! ```no_run
 //! use ccore::{train_surrogate, Scenario};
@@ -56,7 +55,6 @@
 pub mod batcher;
 pub mod cache;
 pub mod error;
-pub mod governor;
 pub mod metrics;
 pub mod ops;
 mod replica;
@@ -66,15 +64,14 @@ pub mod server;
 pub use batcher::{BatcherConfig, MicroBatcher};
 pub use cache::ForecastCache;
 pub use error::ServeError;
-pub use governor::{DriftGovernor, GovernorAction, ServeRoute};
 pub use metrics::{MetricsRecorder, ServeMetrics};
 pub use ops::{OpsServer, OpsState};
 pub use request::{ForecastRequest, Priority};
 pub use server::{ForecastServer, ResponseHandle, ServeConfig};
 
 /// Lock `m`, taking the guard from a poisoned mutex too: the queue, cache,
-/// in-flight registry, compute gate, metrics and governor are updated in
-/// steps that each leave them valid, and a replica that panicked mid-batch
+/// in-flight registry, compute gate and metrics are updated in steps
+/// that each leave them valid, and a replica that panicked mid-batch
 /// must not turn every later request into a second panic.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())

@@ -5,14 +5,14 @@
 //! |------------------|------------------------------------------|--------|
 //! | `/metrics`       | Prometheus text exposition of `cobs`     | 200    |
 //! | `/metrics.json`  | the same snapshot as JSON                | 200    |
-//! | `/healthz`       | liveness + SLO alerts + drift + recorder | 200, 503 on page |
+//! | `/healthz`       | liveness + SLO alerts + recorder         | 200, 503 on page |
 //! | `/readyz`        | replica-pool readiness + queue headroom  | 200 / 503 |
 //! | `/debug/traces`  | flight-recorder dump (ring + exemplars)  | 200    |
 //!
 //! `/healthz` is *liveness with severity*: the process answers 200 while
-//! it can serve, and degrades to 503 only when a page-level alert is
-//! firing (SLO burn or drift-forced ROMS fallback) — load balancers keep
-//! sending traffic through a warning, and shed it on a page. `/readyz` is
+//! it can serve, and degrades to 503 only when an SLO burn-rate alert
+//! pages — load balancers keep sending traffic through a warning, and
+//! shed it on a page. `/readyz` is
 //! *readiness*: 503 until the replica pool is up and while the admission
 //! queue is at capacity, so rolling deploys and autoscalers gate on it.
 //!
@@ -30,8 +30,6 @@ use std::time::Duration;
 
 use cobs::slo::{AlertState, SloEngine};
 
-use crate::governor::DriftGovernor;
-
 /// What the ops endpoints report on. Build one by hand for a bespoke
 /// deployment, or let [`crate::ForecastServer::ops_state`] wire it to a
 /// live server.
@@ -45,8 +43,6 @@ pub struct OpsState {
     pub queue_capacity: usize,
     /// Burn-rate alerts surfaced on `/healthz`.
     pub slo: Option<Arc<SloEngine>>,
-    /// Physics-drift governor surfaced on `/healthz`.
-    pub governor: Option<Arc<DriftGovernor>>,
 }
 
 impl Default for OpsState {
@@ -56,49 +52,23 @@ impl Default for OpsState {
             queue_depth: Arc::new(|| 0),
             queue_capacity: usize::MAX,
             slo: None,
-            governor: None,
         }
     }
 }
 
 impl OpsState {
-    /// Attach a drift governor (its route and alert join `/healthz`).
-    pub fn with_governor(mut self, g: Arc<DriftGovernor>) -> Self {
-        self.governor = Some(g);
-        self
-    }
-
-    /// The most severe alert across the SLO engine and the drift
-    /// governor.
-    fn worst_alert(&self) -> AlertState {
-        let slo = self
-            .slo
-            .as_ref()
-            .map_or(AlertState::Ok, |e| e.worst_state());
-        let drift = self
-            .governor
-            .as_ref()
-            .map_or(AlertState::Ok, |g| g.alert_state());
-        slo.max(drift)
-    }
-
     fn health_json(&self) -> (AlertState, String) {
-        let worst = self.worst_alert();
-        let slos = self
-            .slo
-            .as_ref()
-            .map_or_else(|| "[]".into(), |e| e.health_json());
-        let drift = self
-            .governor
-            .as_ref()
-            .map_or_else(|| "null".into(), |g| g.status_json());
+        let (worst, slos) = self.slo.as_ref().map_or_else(
+            || (AlertState::Ok, "[]".into()),
+            |e| (e.worst_state(), e.health_json()),
+        );
         let rec = cobs::recorder::global();
         let freeze_reason = match rec.freeze_reason() {
             Some(r) => format!("\"{}\"", r.replace('\\', "\\\\").replace('"', "\\\"")),
             None => "null".into(),
         };
         let body = format!(
-            "{{\"status\": \"{}\", \"slos\": {slos}, \"drift\": {drift}, \
+            "{{\"status\": \"{}\", \"slos\": {slos}, \
              \"recorder\": {{\"enabled\": {}, \"records\": {}, \"frozen\": {}, \
              \"freeze_reason\": {freeze_reason}}}}}",
             worst.as_str(),

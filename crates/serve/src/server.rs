@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use ccore::SurrogateSpec;
 use cocean::Snapshot;
-use ctensor::quant::Precision;
 
 use crate::batcher::{BatcherConfig, MicroBatcher};
 use crate::cache::ForecastCache;
@@ -42,8 +41,7 @@ pub struct ServeConfig {
     /// Not read: dispatch is work-conserving (an idle replica takes
     /// whatever is pending at once), so no request waits on a batching
     /// deadline. Kept for callers that set it until a bounded linger of
-    /// idle workers (ROADMAP item 5) either gives it a meaning or
-    /// deletes it.
+    /// idle workers either gives it a meaning or deletes it.
     pub max_wait: Duration,
     /// Admission bound on pending (queued, unbatched) requests.
     pub queue_capacity: usize,
@@ -54,10 +52,6 @@ pub struct ServeConfig {
     /// answered by this deployment's model. `None` accepts any id and
     /// treats it purely as a cache namespace.
     pub scenario_id: Option<u64>,
-    /// Numeric precision every replica serves at. Reduced tiers quantize
-    /// the model at load time and stay within the documented ζ parity
-    /// gates (`ccore::ZETA_TOL_INT8` / `ccore::ZETA_TOL_F16`).
-    pub precision: Precision,
 }
 
 impl Default for ServeConfig {
@@ -69,7 +63,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             cache_capacity: 128,
             scenario_id: None,
-            precision: Precision::F32,
         }
     }
 }
@@ -134,7 +127,10 @@ pub struct ForecastServer {
 }
 
 impl ForecastServer {
-    /// Deploy `spec` behind a micro-batched replica pool.
+    /// Deploy `spec` behind a micro-batched replica pool. Replicas serve
+    /// at `spec.precision`; reduced tiers quantize the model at load time
+    /// and stay within the ζ parity gates (`ccore::ZETA_TOL_INT8` /
+    /// `ccore::ZETA_TOL_F16`).
     pub fn new(spec: SurrogateSpec, cfg: ServeConfig) -> Self {
         let cache = Arc::new(ForecastCache::new(cfg.cache_capacity));
         let inflight = Arc::new(InflightRegistry::default());
@@ -147,7 +143,7 @@ impl ForecastServer {
         let t_out = spec.t_out();
         let mesh = spec.mesh();
         let mut pool = ReplicaPool::spawn(
-            &spec.with_precision(cfg.precision),
+            &spec,
             cfg.workers,
             Arc::clone(&cache),
             Arc::clone(&inflight),
@@ -385,8 +381,6 @@ impl ForecastServer {
     /// Ops-plane state wired to this server: ready (the constructor's
     /// readiness barrier has passed by the time `self` exists), live
     /// queue depth against the admission bound, and the SLO engine.
-    /// Attach a drift governor with [`crate::OpsState::with_governor`]
-    /// before binding if the deployment runs one.
     pub fn ops_state(&self) -> crate::OpsState {
         let batcher = Arc::clone(&self.batcher);
         crate::OpsState {
@@ -394,7 +388,6 @@ impl ForecastServer {
             queue_depth: Arc::new(move || batcher.depth()),
             queue_capacity: self.queue_capacity,
             slo: Some(Arc::clone(self.metrics.slo())),
-            governor: None,
         }
     }
 

@@ -7,14 +7,13 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ccore::{train_surrogate, Scenario, SurrogateSpec};
-use cobs::drift::{DriftBaseline, DriftConfig};
+use cobs::{Clock, ManualClock, SloEngine, SloSpec};
 use cocean::Snapshot;
-use cserve::{DriftGovernor, ForecastRequest, ForecastServer, OpsServer, OpsState, ServeConfig};
-use ctensor::quant::Precision;
+use cserve::{ForecastRequest, ForecastServer, OpsServer, OpsState, ServeConfig};
 
 // Trained once, shared by every test (training dominates test wall time).
 struct Ctx {
@@ -44,14 +43,6 @@ fn request(i: usize) -> ForecastRequest {
     let c = ctx();
     let len = c.t_out + 1;
     ForecastRequest::new(0, c.archive[i..i + len].to_vec(), c.t_out)
-}
-
-/// The flight recorder is process-global; tests that record into it or
-/// freeze it serialize on this lock so a governor-induced freeze in one
-/// test can't drop another test's records.
-fn global_recorder_lock() -> &'static Mutex<()> {
-    static L: OnceLock<Mutex<()>> = OnceLock::new();
-    L.get_or_init(|| Mutex::new(()))
 }
 
 /// Minimal HTTP/1.1 GET over a fresh connection (the server speaks
@@ -128,8 +119,6 @@ fn assert_prometheus_wellformed(body: &str) {
 
 #[test]
 fn ops_endpoints_serve_live_telemetry_over_tcp() {
-    let _g = global_recorder_lock().lock().unwrap();
-    cobs::recorder::global().thaw();
     let c = ctx();
     let server = ForecastServer::new(
         c.spec.clone(),
@@ -227,41 +216,30 @@ fn readyz_is_503_before_readiness_and_under_queue_pressure() {
 }
 
 #[test]
-fn healthz_degrades_to_503_when_drift_pages() {
-    let _g = global_recorder_lock().lock().unwrap();
-    let baseline = DriftBaseline {
-        pass_rate: 1.0,
-        zeta_mean: 0.1,
-        zeta_extreme: 0.8,
-    };
-    let cfg = DriftConfig {
-        window: 4,
-        trip_windows: 1,
-        ..DriftConfig::default()
-    };
-    let governor = Arc::new(DriftGovernor::new(
-        baseline,
-        cfg,
-        vec![Precision::F16], // one-rung ladder: second trip falls back
+fn healthz_degrades_to_503_when_an_slo_pages() {
+    let clock = Arc::new(ManualClock::new(0.0));
+    let slo = Arc::new(SloEngine::new(
+        Arc::clone(&clock) as Arc<dyn Clock>,
+        vec![SloSpec::availability("ops_test_availability", 0.99)],
     ));
-    let state = OpsState::default().with_governor(Arc::clone(&governor));
-    state.ready.store(true, Ordering::Release);
+    let state = OpsState {
+        slo: Some(Arc::clone(&slo)),
+        ..Default::default()
+    };
     let ops = OpsServer::bind("127.0.0.1:0", state).expect("bind");
     let addr = ops.local_addr();
 
     let (status, body) = http_get(addr, "/healthz");
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"route\": \"f16\""), "{body}");
+    assert!(body.contains("\"status\": \"ok\""), "{body}");
 
-    // Two windows of failing members: off the ladder, into ROMS fallback.
-    for _ in 0..8 {
-        governor.observe_member(false, 0.1, 0.8);
+    // Every request fails: both windows burn at 1 / budget = 100, far
+    // past the page threshold.
+    for _ in 0..30 {
+        slo.record_request(0.01, false);
+        clock.advance(1.0);
     }
     let (status, body) = http_get(addr, "/healthz");
-    assert_eq!(status, 503, "a paging drift alert must degrade: {body}");
+    assert_eq!(status, 503, "a paging SLO must degrade: {body}");
     assert!(body.contains("\"status\": \"page\""), "{body}");
-    assert!(body.contains("\"route\": \"roms_fallback\""), "{body}");
-    assert!(body.contains("\"frozen\": true"), "{body}");
-
-    cobs::recorder::global().thaw();
 }

@@ -13,7 +13,7 @@
 //! - [`nn`]: Linear / LayerNorm / BatchNorm / MLP / multi-head attention
 //!   modules sharing parameters through [`autograd::Param`] handles.
 //! - [`optim`]: SGD, Adam, AdamW, gradient clipping.
-//! - [`f16`]: software IEEE binary16 used as the snapshot storage dtype
+//! - [`f16`](mod@f16): software IEEE binary16 used as the snapshot storage dtype
 //!   (the paper compresses its FP64 ROMS archive to FP16 for training).
 //!
 //! ```
