@@ -19,6 +19,14 @@ pub enum ForecastError {
         expected: (usize, usize, usize),
         got: (usize, usize, usize),
     },
+    /// A snapshot's field holds a different number of values than its
+    /// mesh implies (`ny·nx` for ζ, `nz·ny·nx` for u, v and w).
+    FieldLength {
+        frame: usize,
+        field: &'static str,
+        expected: usize,
+        got: usize,
+    },
     /// A prediction or simulation produced no snapshots.
     EmptyEpisode,
     /// A batched call was handed zero episodes.
@@ -43,6 +51,15 @@ impl fmt::Display for ForecastError {
                     "snapshot mesh {got:?} does not match model mesh {expected:?} (nz, ny, nx)"
                 )
             }
+            ForecastError::FieldLength {
+                frame,
+                field,
+                expected,
+                got,
+            } => write!(
+                f,
+                "snapshot {frame} field {field} holds {got} values, its mesh needs {expected}"
+            ),
             ForecastError::EmptyEpisode => write!(f, "episode produced no snapshots"),
             ForecastError::EmptyBatch => write!(f, "batched forecast needs at least one episode"),
         }

@@ -224,8 +224,9 @@ impl SurrogateSpec {
 
 /// The single source of truth for what a valid episode window is: the
 /// initial condition plus `t_out` boundary frames, every snapshot on the
-/// `(nz, ny, nx)` mesh. Shared by [`TrainedSurrogate`] and the serving
-/// front end so admission and execution can never disagree.
+/// `(nz, ny, nx)` mesh with fields of the lengths that mesh implies.
+/// Shared by [`TrainedSurrogate`] and the serving front end so admission
+/// and execution can never disagree.
 pub fn validate_episode_window(
     t_out: usize,
     mesh: (usize, usize, usize),
@@ -238,13 +239,29 @@ pub fn validate_episode_window(
             got: window.len(),
         });
     }
-    for s in window {
+    let (nz, ny, nx) = mesh;
+    for (frame, s) in window.iter().enumerate() {
         let got = (s.nz, s.ny, s.nx);
         if got != mesh {
             return Err(ForecastError::MeshMismatch {
                 expected: mesh,
                 got,
             });
+        }
+        for (field, values, expected) in [
+            ("zeta", &s.zeta, ny * nx),
+            ("u", &s.u, nz * ny * nx),
+            ("v", &s.v, nz * ny * nx),
+            ("w", &s.w, nz * ny * nx),
+        ] {
+            if values.len() != expected {
+                return Err(ForecastError::FieldLength {
+                    frame,
+                    field,
+                    expected,
+                    got: values.len(),
+                });
+            }
         }
     }
     Ok(())
@@ -511,6 +528,17 @@ mod tests {
         assert!(matches!(
             trained.predict_batch(&[short]),
             Err(crate::error::ForecastError::WindowLength { .. })
+        ));
+        let mut truncated = archive[..sc.t_out + 1].to_vec();
+        truncated[1].w.truncate(10);
+        assert!(matches!(
+            trained.predict_batch(&[&truncated]),
+            Err(crate::error::ForecastError::FieldLength {
+                frame: 1,
+                field: "w",
+                got: 10,
+                ..
+            })
         ));
     }
 

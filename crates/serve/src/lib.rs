@@ -9,10 +9,9 @@
 //! - [`ForecastRequest`] — scenario id, initial-condition window, horizon,
 //!   [`Priority`]; hashed into a [`request::CacheKey`].
 //! - [`ForecastCache`] — LRU over completed trajectories with hit/miss
-//!   accounting; entries rest as f16 payloads (half the f32 bytes) and
-//!   hits widen back to f32, matching the first computation to f16
-//!   rounding. Exact buffer sharing happens via single-flight coalescing
-//!   of concurrent identical requests.
+//!   accounting; a hit shares the first computation's `Arc` (bitwise
+//!   equal, no copy). Concurrent identical requests share it too, via
+//!   single-flight coalescing onto the in-flight computation.
 //! - [`MicroBatcher`] — bounded admission queue + dynamic micro-batching.
 //!   Dispatch is work-conserving: an idle replica takes up to `max_batch`
 //!   of whatever is pending immediately, so batches grow only while every

@@ -3,7 +3,7 @@
 //! Request lifecycle:
 //!
 //! ```text
-//! submit ──▶ validate ──▶ cache probe ──hit──▶ respond (f16 round-trip)
+//! submit ──▶ validate ──▶ cache probe ──hit──▶ respond (shared trajectory)
 //!                             │miss
 //!                             ▼
 //!                    bounded queue (admission control, Overloaded)
@@ -84,8 +84,7 @@ impl ResponseHandle {
     }
 
     /// True when the response was served from the forecast cache (it is
-    /// then the first computation of this request widened back from the
-    /// cache's f16-at-rest payload — equal to within f16 rounding).
+    /// then the first computation of this request, shared bit for bit).
     pub fn from_cache(&self) -> bool {
         self.from_cache
     }

@@ -45,6 +45,18 @@ fn request(i: usize) -> ForecastRequest {
     ForecastRequest::new(0, windows(i + 1).pop().unwrap(), c.t_out)
 }
 
+/// Every bit of a trajectory (times and fields), for bitwise assertions.
+fn bits(snaps: &[Snapshot]) -> Vec<u64> {
+    let mut out = Vec::new();
+    for s in snaps {
+        out.push(s.time.to_bits());
+        for f in [&s.zeta, &s.u, &s.v, &s.w] {
+            out.extend(f.iter().map(|x| u64::from(x.to_bits())));
+        }
+    }
+    out
+}
+
 #[test]
 fn concurrent_requests_all_answered() {
     let c = ctx();
@@ -141,7 +153,7 @@ fn served_forecast_matches_direct_prediction() {
 }
 
 #[test]
-fn repeated_requests_hit_cache_within_f16_rounding() {
+fn repeated_requests_hit_cache_bitwise() {
     let c = ctx();
     let server = ForecastServer::new(c.spec.clone(), ServeConfig::default());
     let w = windows(1).pop().unwrap();
@@ -156,17 +168,9 @@ fn repeated_requests_hit_cache_within_f16_rounding() {
     assert!(second.from_cache(), "identical request must hit the cache");
     let second = second.wait_shared().unwrap();
 
-    // The cache stores f16 payloads: the hit is a fresh f32 widening of
-    // the first computation, equal to within f16 rounding (rel ≤ 2⁻¹¹).
-    assert!(!Arc::ptr_eq(&first, &second));
-    for (a, b) in first.iter().zip(second.iter()) {
-        for (x, y) in a.zeta.iter().zip(&b.zeta) {
-            assert!(
-                (x - y).abs() <= x.abs() / 2048.0 + 6.2e-5,
-                "cache hit outside f16 rounding: {x} vs {y}"
-            );
-        }
-    }
+    // The cache holds the leader's trajectory itself: a hit shares it.
+    assert!(Arc::ptr_eq(&first, &second));
+    assert_eq!(bits(&first), bits(&second));
     let m = server.metrics();
     assert_eq!((m.cache_hits, m.cache_misses), (1, 1));
 }
@@ -288,6 +292,40 @@ fn malformed_requests_rejected_up_front() {
 }
 
 #[test]
+fn truncated_field_rejected_without_failing_its_batch() {
+    let c = ctx();
+    let mut server = ForecastServer::new(
+        c.spec.clone(),
+        ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            cache_capacity: 0,
+            ..Default::default()
+        },
+    );
+    let mut bad = windows(1).pop().unwrap();
+    bad[1].u.truncate(10);
+
+    // The malformed request arrives amid well-formed ones that would
+    // share its micro-batch if it were admitted.
+    let mut handles: Vec<_> = (0..3).map(|i| server.submit(request(i)).unwrap()).collect();
+    let rejected = server.submit(ForecastRequest::new(0, bad, c.t_out));
+    handles.extend((3..7).map(|i| server.submit(request(i)).unwrap()));
+    match rejected {
+        Err(ServeError::BadRequest(msg)) => assert!(msg.contains("field u"), "{msg}"),
+        Err(e) => panic!("expected BadRequest, got {e}"),
+        Ok(_) => panic!("a truncated field must be rejected at submit"),
+    }
+    for h in handles {
+        h.wait().expect("well-formed requests complete");
+    }
+    server.shutdown();
+    let m = server.metrics();
+    assert_eq!((m.completed, m.failed), (7, 0), "{m:?}");
+    assert_eq!(m.completed + m.failed + m.rejected, m.submitted, "{m:?}");
+}
+
+#[test]
 fn identical_inflight_requests_coalesce_to_one_computation() {
     let c = ctx();
     // Cache disabled: any sharing must come from single-flight
@@ -399,12 +437,10 @@ fn ensemble_submission_reuses_batcher_and_cache() {
             assert_eq!(a.zeta, b.zeta, "served member must match direct prediction");
         }
     }
-    // The duplicate member returned member 0's trajectory — exactly when
-    // it coalesced onto the in-flight computation, or to f16 rounding if
-    // it raced member 0's completion and hit the compressed cache.
-    for (x, y) in forecasts[5][0].zeta.iter().zip(&forecasts[0][0].zeta) {
-        assert!((x - y).abs() <= x.abs() / 2048.0 + 6.2e-5, "{x} vs {y}");
-    }
+    // The duplicate member returned member 0's trajectory bit for bit,
+    // whether it coalesced onto the in-flight computation or raced member
+    // 0's completion and hit the cache.
+    assert_eq!(bits(&forecasts[5]), bits(&forecasts[0]));
 
     // A later client asking for a member forecast hits the warm cache.
     let again = server
