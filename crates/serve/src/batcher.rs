@@ -2,10 +2,10 @@
 //!
 //! Requests accumulate in a bounded two-class (priority) queue and leave
 //! it work-conserving: [`MicroBatcher::next_ready`] takes up to
-//! `max_batch` of whatever is pending as soon as anything is. The caller
-//! asks only when a replica is idle, so batches grow under load (requests
-//! pile up while every replica is busy) and a lone request never waits
-//! on a deadline while compute sits idle.
+//! `max_batch` of whatever is pending as soon as anything is. Its callers
+//! are the replicas, which ask only when idle, so batches grow under load
+//! (requests pile up while every replica is busy) and a lone request
+//! never waits on a deadline while compute sits idle.
 //!
 //! Admission is bounded: pushes beyond `capacity` fail with
 //! [`ServeError::Overloaded`] instead of growing the queue without limit.
@@ -94,7 +94,8 @@ impl<T> MicroBatcher<T> {
             Priority::Normal => st.normal.push_back(entry),
         }
         drop(st);
-        self.cond.notify_all();
+        // One new item needs at most one idle consumer.
+        self.cond.notify_one();
         Ok(())
     }
 
@@ -112,12 +113,11 @@ impl<T> MicroBatcher<T> {
     /// then take up to `max_batch` immediately (high priority first, FIFO
     /// within each class).
     ///
-    /// This is the consumer for token-first dispatch: the caller acquires
-    /// an idle worker *before* asking for a batch, so whenever compute
-    /// capacity is free the queue flushes instantly. While every worker is
-    /// busy the caller isn't asking, and requests pile into full
-    /// `max_batch` flushes on their own. Returns `None` once closed and
-    /// drained — the consumer's shutdown signal.
+    /// Each replica calls this whenever it is idle, so whenever compute
+    /// capacity is free the queue flushes instantly. While every replica
+    /// is busy none is asking, and requests pile into full `max_batch`
+    /// flushes on their own. Returns `None` once closed and drained — the
+    /// consumer's shutdown signal.
     pub fn next_ready(&self) -> Option<Vec<T>> {
         let mut st = lock(&self.state);
         while st.total() == 0 {

@@ -13,13 +13,14 @@
 //!   equal, no copy). Concurrent identical requests share it too, via
 //!   single-flight coalescing onto the in-flight computation.
 //! - [`MicroBatcher`] — bounded admission queue + dynamic micro-batching.
-//!   Dispatch is work-conserving: an idle replica takes up to `max_batch`
+//!   Batching is work-conserving: an idle replica takes up to `max_batch`
 //!   of whatever is pending immediately, so batches grow only while every
 //!   replica is busy. Saturation is a typed [`ServeError::Overloaded`],
 //!   not unbounded growth.
-//! - [`replica` pool][ForecastServer] — worker threads that each rebuild
-//!   the model from a [`ccore::SurrogateSpec`] (parameters are
-//!   thread-local `Rc`s; the spec's tensors are `Send`). Each batch is
+//! - [replicas][ForecastServer] — the batcher's consumers: threads that
+//!   each rebuild the model from a [`ccore::SurrogateSpec`] (parameters
+//!   are thread-local `Rc`s; the spec's tensors are `Send`), at most one
+//!   per core, and take batches straight from the queue. Each batch is
 //!   **one** `predict_batch` forward pass, so throughput scales with
 //!   batch size rather than request count.
 //! - [`ServeMetrics`] — request counts, cache hits/misses, batch-size
@@ -69,9 +70,9 @@ pub use request::{ForecastRequest, Priority};
 pub use server::{ForecastServer, ResponseHandle, ServeConfig};
 
 /// Lock `m`, taking the guard from a poisoned mutex too: the queue, cache,
-/// in-flight registry, compute gate and metrics are updated in steps
-/// that each leave them valid, and a replica that panicked mid-batch
-/// must not turn every later request into a second panic.
+/// in-flight registry and metrics are updated in steps that each leave
+/// them valid, and a replica that panicked mid-batch must not turn every
+/// later request into a second panic.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -1,36 +1,37 @@
-//! Replica worker pool.
+//! Replicas: the micro-batcher's consumers.
 //!
 //! Model parameters are `Rc`-shared and therefore thread-local, so each
-//! worker thread rebuilds its own `TrainedSurrogate` from the shared
+//! replica thread rebuilds its own `TrainedSurrogate` from the shared
 //! [`SurrogateSpec`] (cheap: deferred-init skeleton + `Arc`-clone tensor
-//! loads). Each batch runs as **one** `predict_batch` forward pass, and
-//! every request in it gets its response through its own channel.
+//! loads). A replica takes a batch straight from
+//! [`MicroBatcher::next_ready`], runs it as **one** `predict_batch`
+//! forward pass, and answers every request in it through its own channel.
 //!
 //! Scaling structure (the v1 pool collapsed to 0.21× sequential at four
 //! workers; each piece below removes one cause):
 //!
-//! - **Readiness barrier** — [`ReplicaPool::spawn`] blocks until every
-//!   worker has built its model, so spin-up cost can never overlap (and
+//! - **Readiness barrier** — [`spawn_replicas`] blocks until every
+//!   replica has built its model, so spin-up cost can never overlap (and
 //!   contend with) the serving window.
-//! - **Idle-token dispatch** — workers announce themselves on a shared
-//!   idle channel and each owns a private batch channel. The dispatcher
-//!   pairs one idle token with one batch; no worker ever holds a lock
-//!   while blocking on work (the v1 `Mutex<Receiver>` pickup convoy).
-//! - **Compute gate** — concurrent forward passes are capped at
-//!   `min(workers, available_parallelism)`. Oversubscribing physical
-//!   cores with tensor forwards just thrashes caches; excess workers
-//!   still pipeline admission/response work while gated.
+//! - **Cap at spawn** — at most `min(workers, available_parallelism)`
+//!   replicas run, so concurrent forwards never oversubscribe the cores
+//!   and no replica holds a batch while waiting for one.
+//! - **Pickup from the queue itself** — an idle replica waits on the
+//!   batcher's condvar, which releases the queue lock while it waits, and
+//!   leaves with up to `max_batch` requests; no replica holds a lock
+//!   while blocked on work (the v1 `Mutex<Receiver>` pickup convoy).
 
 use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, Receiver as StdReceiver, Sender, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ccore::SurrogateSpec;
+use ccore::{SurrogateSpec, TrainedSurrogate};
 use cobs::recorder::Outcome;
 use cocean::Snapshot;
 
+use crate::batcher::MicroBatcher;
 use crate::cache::ForecastCache;
 use crate::error::ServeError;
 use crate::lock;
@@ -143,263 +144,147 @@ impl InflightRegistry {
     }
 }
 
-/// Counting semaphore over `std::sync::{Mutex, Condvar}` bounding how many
-/// forward passes run at once.
-pub(crate) struct ComputeGate {
-    slots: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ComputeGate {
-    fn new(permits: usize) -> Self {
-        Self {
-            slots: Mutex::new(permits.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> ComputePermit<'_> {
-        let mut slots = lock(&self.slots);
-        while *slots == 0 {
-            slots = self.cv.wait(slots).unwrap_or_else(|e| e.into_inner());
-        }
-        *slots -= 1;
-        ComputePermit { gate: self }
-    }
-}
-
-pub(crate) struct ComputePermit<'a> {
-    gate: &'a ComputeGate,
-}
-
-impl Drop for ComputePermit<'_> {
-    fn drop(&mut self) {
-        let mut slots = lock(&self.gate.slots);
-        *slots += 1;
-        self.gate.cv.notify_one();
-    }
-}
-
-struct WorkerHandle {
-    /// Rendezvous hand-off for this worker's next batch.
-    batch_tx: Option<SyncSender<Vec<PendingRequest>>>,
-    join: Option<JoinHandle<()>>,
-}
-
-/// Pool of replica worker threads fed by idle-token dispatch.
-pub(crate) struct ReplicaPool {
-    workers: Vec<WorkerHandle>,
-    /// Workers push their index here when ready for a batch.
-    idle_rx: StdReceiver<usize>,
-}
-
-impl ReplicaPool {
-    /// Spawn `workers` workers, each rebuilding the model from `spec` (at
-    /// `spec`'s precision).
-    pub fn spawn(
-        spec: &SurrogateSpec,
-        workers: usize,
-        cache: Arc<ForecastCache>,
-        inflight: Arc<InflightRegistry>,
-        metrics: Arc<MetricsRecorder>,
-    ) -> Self {
-        assert!(workers >= 1, "need at least one replica");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let gate = Arc::new(ComputeGate::new(workers.min(cores)));
-        let (idle_tx, idle_rx) = std::sync::mpsc::channel::<usize>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            // Rendezvous (capacity 0): a send completes only when the
-            // worker is receiving, so an idle token always means "this
-            // worker is actually waiting", and backpressure flows to the
-            // dispatcher the moment no token is available.
-            let (batch_tx, batch_rx) = sync_channel::<Vec<PendingRequest>>(0);
+/// Spawn the replicas that consume `batcher`, each rebuilding the model
+/// from `spec` (at `spec`'s precision), and return once every one has
+/// built its model.
+///
+/// At most `min(workers, available_parallelism)` replicas are spawned:
+/// each runs its own forward, and oversubscribing the cores with tensor
+/// forwards only thrashes caches. A replica past that cap could only take
+/// a batch off the queue and then wait for a core.
+pub(crate) fn spawn_replicas(
+    spec: &SurrogateSpec,
+    workers: usize,
+    batcher: &Arc<MicroBatcher<PendingRequest>>,
+    cache: &Arc<ForecastCache>,
+    inflight: &Arc<InflightRegistry>,
+    metrics: &Arc<MetricsRecorder>,
+) -> Vec<JoinHandle<()>> {
+    assert!(workers >= 1, "need at least one replica");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let replicas = workers.min(cores);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
+    let joins: Vec<_> = (0..replicas)
+        .map(|r| {
             let spec = spec.clone();
-            let cache = Arc::clone(&cache);
-            let inflight = Arc::clone(&inflight);
-            let metrics = Arc::clone(&metrics);
-            let gate = Arc::clone(&gate);
-            let idle_tx = idle_tx.clone();
             let ready_tx = ready_tx.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("serve-replica-{w}"))
+            let batcher = Arc::clone(batcher);
+            let cache = Arc::clone(cache);
+            let inflight = Arc::clone(inflight);
+            let metrics = Arc::clone(metrics);
+            std::thread::Builder::new()
+                .name(format!("serve-replica-{r}"))
                 .spawn(move || {
-                    replica_main(
-                        w, spec, &batch_rx, &idle_tx, &ready_tx, &gate, &cache, &inflight, &metrics,
-                    )
+                    let surrogate = spec.instantiate();
+                    let _ = ready_tx.send(());
+                    drop(ready_tx);
+                    replica_main(&surrogate, &batcher, &cache, &inflight, &metrics);
                 })
-                .expect("spawn replica worker");
-            handles.push(WorkerHandle {
-                batch_tx: Some(batch_tx),
-                join: Some(join),
-            });
-        }
-        drop(ready_tx);
-        // Readiness barrier: block until every worker has built its model,
-        // so replica spin-up can never bleed into the serving window.
-        for _ in 0..workers {
-            ready_rx
-                .recv()
-                .expect("replica worker died during model construction");
-        }
-        Self {
-            workers: handles,
-            idle_rx,
+                .expect("spawn replica")
+        })
+        .collect();
+    drop(ready_tx);
+    // Readiness barrier: block until every replica has built its model,
+    // so replica spin-up can never bleed into the serving window. A
+    // replica that dies while building drops its sender unsent; closing
+    // the queue lets the others exit before the panic.
+    for _ in 0..replicas {
+        if ready_rx.recv().is_err() {
+            batcher.close();
+            panic!("replica worker died during model construction");
         }
     }
-
-    /// Block until some replica is idle; `None` when every worker has
-    /// exited (shutdown race). Token-first dispatch: the dispatcher
-    /// acquires capacity *before* flushing the batcher, so a queued
-    /// request never waits out a batching deadline while a worker idles.
-    pub fn acquire_idle(&self) -> Option<usize> {
-        self.idle_rx.recv().ok()
-    }
-
-    /// Hand `batch` to worker `w` (previously acquired via
-    /// [`Self::acquire_idle`]). If that worker died between announcing
-    /// idle and receiving, falls back to the next idle token. Returns the
-    /// batch when every worker is gone so the caller can fail its
-    /// requests.
-    pub fn send_to(
-        &self,
-        w: usize,
-        mut batch: Vec<PendingRequest>,
-    ) -> Result<(), Vec<PendingRequest>> {
-        let mut next = Some(w);
-        loop {
-            let w = match next.take() {
-                Some(w) => w,
-                None => match self.idle_rx.recv() {
-                    Ok(w) => w,
-                    Err(_) => return Err(batch), // every worker exited
-                },
-            };
-            match &self.workers[w].batch_tx {
-                Some(tx) => match tx.send(batch) {
-                    Ok(()) => return Ok(()),
-                    // This worker died between announcing idle and
-                    // receiving; try the next token.
-                    Err(e) => batch = e.0,
-                },
-                None => return Err(batch),
-            }
-        }
-    }
-
-    /// Close every batch channel and join the workers (a worker finishes
-    /// its in-hand batch first).
-    pub fn shutdown(&mut self) {
-        for wh in &mut self.workers {
-            wh.batch_tx = None; // drop sender → worker sees end-of-stream
-        }
-        for wh in &mut self.workers {
-            if let Some(h) = wh.join.take() {
-                let _ = h.join();
-            }
-        }
-    }
+    joins
 }
 
-impl Drop for ReplicaPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Take batches until the queue is closed and drained. A panic anywhere
+/// in a batch fails that batch's requests, not the replica: a dead
+/// replica would leave its waiters hanging and its keys in flight.
 fn replica_main(
-    index: usize,
-    spec: SurrogateSpec,
-    batch_rx: &StdReceiver<Vec<PendingRequest>>,
-    idle_tx: &Sender<usize>,
-    ready_tx: &Sender<()>,
-    gate: &ComputeGate,
+    surrogate: &TrainedSurrogate,
+    batcher: &MicroBatcher<PendingRequest>,
     cache: &ForecastCache,
     inflight: &InflightRegistry,
     metrics: &MetricsRecorder,
 ) {
-    let surrogate = spec.instantiate();
-    let _ = ready_tx.send(());
-    loop {
-        // Announce idle, then wait on the private batch channel.
-        if idle_tx.send(index).is_err() {
-            return; // pool gone
-        }
-        let batch = match batch_rx.recv() {
-            Ok(b) => b,
-            Err(_) => return, // dispatcher gone: shutdown
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        metrics.record_batch(batch.len());
-        // Queue wait per member: enqueue → replica pickup. Recorded both
-        // as a registry histogram and, for traced requests, an
-        // explicit-bounds span under the request's root.
-        let picked_up = Instant::now();
-        for p in &batch {
-            let waited = picked_up.saturating_duration_since(p.enqueued);
-            cobs::histogram!("serve.queue_wait_seconds").record_duration(waited);
-            if let Some(t) = &p.trace {
-                t.record("queue.wait", None, p.enqueued, picked_up);
-            }
-        }
-        let windows: Vec<&[Snapshot]> = batch.iter().map(|p| p.window.as_slice()).collect();
-        // Gate the forward so tensor compute never oversubscribes the
-        // physical cores, then guard against panics in the tensor stack:
-        // a panic must fail this batch's waiters, not kill the worker
-        // (which would hang them forever and blackhole in-flight keys).
-        let permit = gate.acquire();
-        // The first traced member's trace becomes this thread's active
-        // trace for the forward, so profiled backend kernels nest under
-        // its replica.predict_batch span; other traced members get the
-        // same interval recorded as a shared-batch span below.
-        let lead_trace = batch.iter().find_map(|p| p.trace.clone());
-        let fwd_start = Instant::now();
-        let outcome = {
-            let _enter = lead_trace.as_ref().map(|t| cobs::trace::enter(t, t.root()));
-            let _span = cobs::span!("replica.predict_batch");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                surrogate.predict_batch(&windows)
-            }))
-        };
-        let fwd_end = Instant::now();
-        drop(permit);
-        cobs::histogram!("serve.replica_compute_seconds")
-            .record_duration(fwd_end.saturating_duration_since(fwd_start));
-        for p in &batch {
-            if let Some(t) = &p.trace {
-                if lead_trace.as_ref().map(cobs::TraceHandle::id) != Some(t.id()) {
-                    t.record("replica.predict_batch.shared", None, fwd_start, fwd_end);
-                }
-            }
-        }
-        let outcome = match outcome {
-            // Validation happens at admission, so a forecast error is
-            // unexpected — but it must fail the batch, not the worker.
-            Ok(r) => r.map_err(ServeError::Forecast),
-            Err(payload) => Err(ServeError::Internal(format!(
+    while let Some(batch) = batcher.next_ready() {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_batch(surrogate, &batch, cache, inflight, metrics);
+        }));
+        if let Err(payload) = run {
+            let e = ServeError::Internal(format!(
                 "replica panicked: {}",
                 panic_message(payload.as_ref())
-            ))),
-        };
-        match outcome {
-            Ok(results) => {
-                for (pending, snaps) in batch.into_iter().zip(results) {
-                    let value = Arc::new(snaps);
-                    // Cache before releasing the in-flight entry so late
-                    // duplicates land on one path or the other — never on
-                    // a recompute.
-                    cache.insert(pending.key, Arc::clone(&value));
-                    inflight.finish(&pending.key, metrics, Ok(value), false);
-                }
+            ));
+            // Keys this batch already finished are released, and
+            // finishing a released key is a no-op.
+            for p in &batch {
+                inflight.finish(&p.key, metrics, Err(e.clone()), false);
             }
-            Err(e) => {
-                for pending in &batch {
-                    inflight.finish(&pending.key, metrics, Err(e.clone()), false);
-                }
+        }
+    }
+}
+
+/// One `predict_batch` forward for `batch`, then cache and answer each
+/// of its requests.
+fn run_batch(
+    surrogate: &TrainedSurrogate,
+    batch: &[PendingRequest],
+    cache: &ForecastCache,
+    inflight: &InflightRegistry,
+    metrics: &MetricsRecorder,
+) {
+    metrics.record_batch(batch.len());
+    // Queue wait per member: enqueue → replica pickup. Recorded both as a
+    // registry histogram and, for traced requests, an explicit-bounds
+    // span under the request's root.
+    let picked_up = Instant::now();
+    for p in batch {
+        let waited = picked_up.saturating_duration_since(p.enqueued);
+        cobs::histogram!("serve.queue_wait_seconds").record_duration(waited);
+        if let Some(t) = &p.trace {
+            t.record("queue.wait", None, p.enqueued, picked_up);
+        }
+    }
+    let windows: Vec<&[Snapshot]> = batch.iter().map(|p| p.window.as_slice()).collect();
+    // The first traced member's trace becomes this thread's active trace
+    // for the forward, so profiled backend kernels nest under its
+    // replica.predict_batch span; other traced members get the same
+    // interval recorded as a shared-batch span below.
+    let lead_trace = batch.iter().find_map(|p| p.trace.clone());
+    let fwd_start = Instant::now();
+    let outcome = {
+        let _enter = lead_trace.as_ref().map(|t| cobs::trace::enter(t, t.root()));
+        let _span = cobs::span!("replica.predict_batch");
+        surrogate.predict_batch(&windows)
+    };
+    let fwd_end = Instant::now();
+    cobs::histogram!("serve.replica_compute_seconds")
+        .record_duration(fwd_end.saturating_duration_since(fwd_start));
+    for p in batch {
+        if let Some(t) = &p.trace {
+            if lead_trace.as_ref().map(cobs::TraceHandle::id) != Some(t.id()) {
+                t.record("replica.predict_batch.shared", None, fwd_start, fwd_end);
+            }
+        }
+    }
+    match outcome {
+        Ok(results) => {
+            for (pending, snaps) in batch.iter().zip(results) {
+                let value = Arc::new(snaps);
+                // Cache before releasing the in-flight entry so late
+                // duplicates land on one path or the other — never on a
+                // recompute.
+                cache.insert(pending.key, Arc::clone(&value));
+                inflight.finish(&pending.key, metrics, Ok(value), false);
+            }
+        }
+        // Validation happens at admission, so a forecast error is
+        // unexpected — but it fails the batch, not the replica.
+        Err(e) => {
+            let e = ServeError::Forecast(e);
+            for pending in batch {
+                inflight.finish(&pending.key, metrics, Err(e.clone()), false);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The forecast server: admission → cache → micro-batcher → replica pool.
+//! The forecast server: admission → cache → micro-batcher → replicas.
 //!
 //! Request lifecycle:
 //!
@@ -8,10 +8,10 @@
 //!                             ▼
 //!                    bounded queue (admission control, Overloaded)
 //!                             ▼
-//!                    micro-batcher (work-conserving: idle workers drain
-//!                    immediately; max_batch caps the flush size)
+//!                    micro-batcher (work-conserving: an idle replica
+//!                    takes up to max_batch pending at once)
 //!                             ▼
-//!                    replica pool (one predict_batch per batch)
+//!                    replica (one predict_batch per batch)
 //!                             ▼
 //!                cache insert + per-request response channel
 //! ```
@@ -28,17 +28,20 @@ use crate::batcher::{BatcherConfig, MicroBatcher};
 use crate::cache::ForecastCache;
 use crate::error::ServeError;
 use crate::metrics::{MetricsRecorder, ServeMetrics};
-use crate::replica::{Admission, InflightRegistry, PendingRequest, ReplicaPool, Waiter};
+use crate::replica::{spawn_replicas, Admission, InflightRegistry, PendingRequest, Waiter};
 use crate::request::ForecastRequest;
 
 /// Server deployment knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Replica workers, each owning a rebuilt surrogate.
+    /// Replica workers, each owning a rebuilt surrogate and taking
+    /// batches straight from the queue. At most
+    /// `min(workers, available_parallelism)` are spawned: one forward per
+    /// core at a time, so extra workers would only hold batches idle.
     pub workers: usize,
     /// Micro-batch flush size.
     pub max_batch: usize,
-    /// Not read: dispatch is work-conserving (an idle replica takes
+    /// Not read: batching is work-conserving (an idle replica takes
     /// whatever is pending at once), so no request waits on a batching
     /// deadline. Kept for callers that set it until a bounded linger of
     /// idle workers either gives it a meaning or deletes it.
@@ -115,18 +118,17 @@ pub struct ForecastServer {
     t_out: usize,
     mesh: (usize, usize, usize),
     scenario_id: Option<u64>,
-    queue_capacity: usize,
     batcher: Arc<MicroBatcher<PendingRequest>>,
     cache: Arc<ForecastCache>,
     inflight: Arc<InflightRegistry>,
     metrics: Arc<MetricsRecorder>,
-    /// Dispatcher thread; it owns the replica pool and joins the workers
-    /// on its way out.
-    dispatcher: Option<JoinHandle<()>>,
+    /// The batcher's consumers; joined at shutdown once they have drained
+    /// the queue.
+    replicas: Vec<JoinHandle<()>>,
 }
 
 impl ForecastServer {
-    /// Deploy `spec` behind a micro-batched replica pool. Replicas serve
+    /// Deploy `spec` behind micro-batching replicas. Replicas serve
     /// at `spec.precision`; reduced tiers quantize the model at load time
     /// and stay within the ζ parity gates (`ccore::ZETA_TOL_INT8` /
     /// `ccore::ZETA_TOL_F16`).
@@ -139,70 +141,16 @@ impl ForecastServer {
             capacity: cfg.queue_capacity,
         }));
 
-        let t_out = spec.t_out();
-        let mesh = spec.mesh();
-        let mut pool = ReplicaPool::spawn(
-            &spec,
-            cfg.workers,
-            Arc::clone(&cache),
-            Arc::clone(&inflight),
-            Arc::clone(&metrics),
-        );
-
-        // Dispatcher: drains the micro-batcher into the pool until the
-        // queue is closed and empty, then shuts the workers down.
-        //
-        // Token-first, work-conserving: acquire an idle worker *before*
-        // flushing the batcher. With capacity in hand, `next_ready`
-        // releases whatever is pending immediately; while every worker is
-        // busy we aren't flushing, so requests accumulate into full
-        // `max_batch` batches on their own.
-        let dispatcher = {
-            let batcher = Arc::clone(&batcher);
-            let inflight = Arc::clone(&inflight);
-            let metrics = Arc::clone(&metrics);
-            // Workers are gone: fail the batch cleanly, so completed +
-            // failed + rejected still covers every admitted request during
-            // the shutdown race.
-            let fail = move |batch: Vec<PendingRequest>| {
-                for p in batch {
-                    inflight.finish(&p.key, &metrics, Err(ServeError::Shutdown), false);
-                }
-            };
-            std::thread::Builder::new()
-                .name("serve-dispatcher".into())
-                .spawn(move || {
-                    loop {
-                        let Some(w) = pool.acquire_idle() else {
-                            // Every worker exited: drain and fail what's
-                            // still queued.
-                            while let Some(batch) = batcher.next_ready() {
-                                fail(batch);
-                            }
-                            break;
-                        };
-                        let Some(batch) = batcher.next_ready() else {
-                            break; // closed and drained
-                        };
-                        if let Err(orphaned) = pool.send_to(w, batch) {
-                            fail(orphaned);
-                        }
-                    }
-                    pool.shutdown();
-                })
-                .expect("spawn dispatcher")
-        };
-
+        let replicas = spawn_replicas(&spec, cfg.workers, &batcher, &cache, &inflight, &metrics);
         Self {
-            t_out,
-            mesh,
+            t_out: spec.t_out(),
+            mesh: spec.mesh(),
             scenario_id: cfg.scenario_id,
-            queue_capacity: cfg.queue_capacity,
             batcher,
             cache,
             inflight,
             metrics,
-            dispatcher: Some(dispatcher),
+            replicas,
         }
     }
 
@@ -309,41 +257,6 @@ impl ForecastServer {
         }
     }
 
-    /// Submit a whole ensemble of member requests through the regular
-    /// micro-batcher path, returning one handle per member in member
-    /// order.
-    ///
-    /// Ensemble members are ordinary traffic to the serving stack: they
-    /// stack into `max_batch`-sized forwards, coalesce with identical
-    /// in-flight requests, hit the forecast cache, and warm it for later
-    /// clients.
-    ///
-    /// **Validation is atomic**: every member is checked up front, so a
-    /// malformed member rejects the whole ensemble before anything
-    /// enqueues. **Admission is streaming**: members enter the bounded
-    /// queue as the replica pool drains it, so ensembles larger than
-    /// `queue_capacity` are fine — backpressure only triggers when the
-    /// pool genuinely cannot keep up, surfacing as
-    /// [`ServeError::Overloaded`] mid-submission. Members admitted before
-    /// that point complete normally and warm the cache, which makes a
-    /// backed-off retry of the same ensemble cheap: already-computed
-    /// members return as cache hits or coalesce onto in-flight leaders
-    /// instead of recomputing.
-    pub fn submit_ensemble(
-        &self,
-        members: Vec<ForecastRequest>,
-    ) -> Result<Vec<ResponseHandle>, ServeError> {
-        if members.is_empty() {
-            return Err(ServeError::BadRequest(
-                "ensemble submission needs at least one member".into(),
-            ));
-        }
-        for req in &members {
-            self.validate(req)?;
-        }
-        members.into_iter().map(|req| self.submit(req)).collect()
-    }
-
     fn validate(&self, req: &ForecastRequest) -> Result<(), ServeError> {
         if let Some(id) = self.scenario_id {
             if req.scenario_id != id {
@@ -385,7 +298,7 @@ impl ForecastServer {
         crate::OpsState {
             ready: Arc::new(std::sync::atomic::AtomicBool::new(true)),
             queue_depth: Arc::new(move || batcher.depth()),
-            queue_capacity: self.queue_capacity,
+            queue_capacity: self.batcher.capacity(),
             slo: Some(Arc::clone(self.metrics.slo())),
         }
     }
@@ -406,12 +319,11 @@ impl ForecastServer {
         self.metrics.snapshot((hits, misses))
     }
 
-    /// Graceful shutdown: stop admitting, drain the queue, join every
-    /// thread (the dispatcher joins the replica workers). Idempotent;
-    /// also invoked by `Drop`.
+    /// Graceful shutdown: stop admitting, let the replicas drain the
+    /// queue, join them. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         self.batcher.close();
-        if let Some(h) = self.dispatcher.take() {
+        for h in self.replicas.drain(..) {
             let _ = h.join();
         }
     }

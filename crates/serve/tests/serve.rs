@@ -81,12 +81,31 @@ fn concurrent_requests_all_answered() {
             })
         })
         .collect();
-    for h in handles {
+    // Two replicas pull batches at once: each client must still get the
+    // forecast of its own window, not another request's.
+    let direct = c.spec.instantiate();
+    for (i, h) in handles.into_iter().enumerate() {
         let forecast = h.join().unwrap();
-        assert_eq!(forecast.len(), c.t_out);
-        assert!(forecast
-            .iter()
-            .all(|s| s.zeta.iter().all(|v| v.is_finite())));
+        let want = direct.predict_episode(&request(i).window);
+        assert_eq!(forecast.len(), want.len());
+        for (a, b) in want.iter().zip(&forecast) {
+            for (name, x, y) in [
+                ("zeta", &a.zeta, &b.zeta),
+                ("u", &a.u, &b.u),
+                ("v", &a.v, &b.v),
+                ("w", &a.w, &b.w),
+            ] {
+                let d = x
+                    .iter()
+                    .zip(y)
+                    .map(|(p, q)| (p - q).abs())
+                    .fold(0.0, f32::max);
+                assert!(
+                    d < 1e-5,
+                    "client {i}: {name} off its own forecast by {d:.3e}"
+                );
+            }
+        }
     }
     let m = server.metrics();
     assert_eq!(m.completed, n as u64);
@@ -326,6 +345,41 @@ fn truncated_field_rejected_without_failing_its_batch() {
 }
 
 #[test]
+fn replica_panic_fails_its_batch_and_the_server_keeps_answering() {
+    let c = ctx();
+    // A 1×1 land mask makes `mask_land` index out of bounds inside
+    // `predict_batch`: every batch this deployment runs panics.
+    let mut spec = c.spec.clone();
+    spec.mask = ctensor::tensor::Tensor::zeros(&[1, 1]);
+    let mut server = ForecastServer::new(
+        spec,
+        ServeConfig {
+            workers: 1,
+            max_batch: 4,
+            cache_capacity: 0,
+            ..Default::default()
+        },
+    );
+    let handles: Vec<_> = (0..6).map(|i| server.submit(request(i)).unwrap()).collect();
+    for h in handles {
+        match h.wait() {
+            Err(ServeError::Internal(msg)) => {
+                assert!(msg.starts_with("replica panicked"), "{msg}");
+            }
+            other => panic!("expected a replica panic, got {:?}", other.map(|f| f.len())),
+        }
+    }
+    // The replica survived its panics: a later request is answered (with
+    // the same error), not left hanging.
+    let late = server.submit(request(6)).unwrap().wait();
+    assert!(matches!(late, Err(ServeError::Internal(_))), "{late:?}");
+    server.shutdown();
+    let m = server.metrics();
+    assert_eq!((m.completed, m.failed), (0, 7), "{m:?}");
+    assert_eq!(m.completed + m.failed + m.rejected, m.submitted, "{m:?}");
+}
+
+#[test]
 fn identical_inflight_requests_coalesce_to_one_computation() {
     let c = ctx();
     // Cache disabled: any sharing must come from single-flight
@@ -416,17 +470,20 @@ fn ensemble_submission_reuses_batcher_and_cache() {
         },
     );
 
-    // A 6-member "ensemble" with one duplicated window: members flow
-    // through the same micro-batcher (stacked forwards) and warm the
-    // cache; the duplicate coalesces onto its leader.
+    // A 6-member "ensemble" with one duplicated window, submitted as
+    // ordinary requests: members flow through the same micro-batcher
+    // (stacked forwards) and warm the cache; the duplicate coalesces onto
+    // its leader.
     let ws = windows(5);
-    let mut members: Vec<ForecastRequest> = ws
+    let handles: Vec<_> = ws
         .iter()
-        .map(|w| ForecastRequest::new(0, w.clone(), c.t_out))
+        .chain([&ws[0]])
+        .map(|w| {
+            server
+                .submit(ForecastRequest::new(0, w.clone(), c.t_out))
+                .unwrap()
+        })
         .collect();
-    members.push(ForecastRequest::new(0, ws[0].clone(), c.t_out));
-    let handles = server.submit_ensemble(members).unwrap();
-    assert_eq!(handles.len(), 6);
     let forecasts: Vec<_> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
 
     // Member order preserved: each matches the direct model prediction.
@@ -453,10 +510,10 @@ fn ensemble_submission_reuses_batcher_and_cache() {
 #[test]
 fn ensemble_larger_than_queue_streams_through_with_retry() {
     let c = ctx();
-    // Admission is streaming: the replica pool drains the bounded queue
-    // while members enqueue, so an ensemble 3× the queue capacity is
-    // admissible — and when the submitter outruns the drain, the typed
-    // Overloaded plus a backed-off resubmit completes cheaply because
+    // Admission is streaming: the replicas drain the bounded queue while
+    // members enqueue, so an ensemble 3× the queue capacity is admissible
+    // — and when the submitter outruns the drain, the typed Overloaded
+    // plus a backed-off resubmit of that member completes cheaply because
     // already-computed members return as cache hits / coalesce.
     let server = ForecastServer::new(
         c.spec.clone(),
@@ -468,77 +525,25 @@ fn ensemble_larger_than_queue_streams_through_with_retry() {
             ..Default::default()
         },
     );
-    let members = || -> Vec<ForecastRequest> {
-        windows(12)
-            .into_iter()
-            .map(|w| ForecastRequest::new(0, w, c.t_out))
-            .collect()
-    };
-    let mut handles = None;
-    for _attempt in 0..100 {
-        match server.submit_ensemble(members()) {
-            Ok(h) => {
-                handles = Some(h);
-                break;
+    let mut handles = Vec::new();
+    for w in windows(12) {
+        let mut admitted = None;
+        for _attempt in 0..100 {
+            match server.submit(ForecastRequest::new(0, w.clone(), c.t_out)) {
+                Ok(h) => {
+                    admitted = Some(h);
+                    break;
+                }
+                Err(ServeError::Overloaded { .. }) => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("unexpected rejection: {e}"),
             }
-            Err(ServeError::Overloaded { .. }) => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => panic!("unexpected rejection: {e}"),
         }
+        handles.push(admitted.expect("member admitted after backoff"));
     }
-    let handles = handles.expect("ensemble admitted after backoff");
-    assert_eq!(handles.len(), 12);
     for h in handles {
         assert_eq!(h.wait().expect("answered").len(), c.t_out);
-    }
-}
-
-#[test]
-fn malformed_or_saturating_ensembles_reject_as_typed_errors() {
-    let c = ctx();
-    let server = ForecastServer::new(
-        c.spec.clone(),
-        ServeConfig {
-            workers: 1,
-            // A single worker busy on the first members gates the drain;
-            // later members pile into the two-slot queue.
-            max_batch: 16,
-            queue_capacity: 2,
-            cache_capacity: 0,
-            ..Default::default()
-        },
-    );
-
-    // Invalid member (wrong horizon) rejects the whole ensemble before
-    // anything enqueues — validation is atomic.
-    let mut bad = vec![ForecastRequest::new(0, windows(1).pop().unwrap(), c.t_out)];
-    bad.push(ForecastRequest::new(
-        0,
-        windows(1).pop().unwrap(),
-        c.t_out + 1,
-    ));
-    assert!(matches!(
-        server.submit_ensemble(bad),
-        Err(ServeError::BadRequest(_))
-    ));
-    assert_eq!(server.queue_depth(), 0, "nothing may enqueue on bad input");
-
-    // Empty ensembles are a typed error too.
-    assert!(matches!(
-        server.submit_ensemble(Vec::new()),
-        Err(ServeError::BadRequest(_))
-    ));
-
-    // A genuinely stalled queue surfaces Overloaded mid-submission:
-    // members admitted before saturation complete normally.
-    let members: Vec<ForecastRequest> = windows(5)
-        .into_iter()
-        .map(|w| ForecastRequest::new(0, w, c.t_out))
-        .collect();
-    match server.submit_ensemble(members) {
-        Err(ServeError::Overloaded { capacity, .. }) => assert_eq!(capacity, 2),
-        other => panic!("expected Overloaded, got {:?}", other.map(|_| "handles")),
     }
 }
 
@@ -762,9 +767,9 @@ fn span_stack_survives_panic_unwind_in_worker_thread() {
     cobs::trace::set_enabled(true);
     let t = cobs::trace::start("forecast");
     let handle = t.clone();
-    // Mirror replica_main's structure exactly: a pool worker enters the
-    // request's trace, opens the compute span inside catch_unwind, and
-    // keeps serving after the model panics.
+    // Mirror a replica's structure: it enters the request's trace, opens
+    // the compute span inside catch_unwind, and keeps serving after the
+    // model panics.
     std::thread::Builder::new()
         .name("serve-replica-test".into())
         .spawn(move || {
