@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use cbench::{banner, write_csv, Context};
 use ccore::{train_surrogate, ErrorTable, HybridForecaster, TrainedSurrogate};
-use cocean::{run_tiled, Roms, Snapshot};
+use cocean::{Roms, Snapshot};
 use cphysics::{pass_rate_curve, Verifier, VerifierConfig};
 use cpipeline::{
     encode_episode, DataLoader, EncodeConfig, Episode, LoaderConfig, NormStats, SnapshotStore,
@@ -107,15 +107,19 @@ fn table1(ctx: &Context) {
     let mut rows = Vec::new();
     let mut roms_best = f64::INFINITY;
     for p in [1usize, 2, 4, 8] {
-        let cfg = ctx.scenario.ocean_config(&ctx.grid, 1);
-        let run = run_tiled(&ctx.grid, &cfg, p, horizon_snaps, interval);
-        let comm: f64 = run.stats.iter().map(|s| s.comm_seconds).sum::<f64>() / p as f64;
-        roms_best = roms_best.min(run.wall_seconds);
-        println!(
-            "ROMS (tiled)     cores={p:<3} wall={:>8.3}s  mean-comm={:>7.3}s",
-            run.wall_seconds, comm
-        );
-        rows.push(format!("roms,{p},{:.6},{:.6}", run.wall_seconds, comm));
+        let mut roms = Roms::tiled(&ctx.grid, ctx.scenario.ocean_config(&ctx.grid, 1), p);
+        let t0 = std::time::Instant::now();
+        roms.record(horizon_snaps, interval);
+        let wall = t0.elapsed().as_secs_f64();
+        let comm: f64 = roms
+            .comm_stats()
+            .iter()
+            .map(|s| s.comm_seconds)
+            .sum::<f64>()
+            / p as f64;
+        roms_best = roms_best.min(wall);
+        println!("ROMS (tiled)     cores={p:<3} wall={wall:>8.3}s  mean-comm={comm:>7.3}s");
+        rows.push(format!("roms,{p},{wall:.6},{comm:.6}"));
     }
 
     // Surrogate: same horizon = 2 episodes, batched inference.

@@ -3,8 +3,8 @@
 //! The simulator runs in `f64` (as ROMS does — the paper compresses to FP16
 //! only for the training archive). A [`Field2`] stores an `ny × nx` interior
 //! plus a one-cell halo ring; boundary conditions and MPI-style exchanges
-//! both write into the halo, which is what lets the serial and tiled
-//! drivers share kernels bit-for-bit.
+//! both write into the halo, which is what lets one tile and many run the
+//! same kernels bit-for-bit.
 
 /// 2-D scalar field with a one-cell halo ring. Interior indices are
 /// `0..ny` × `0..nx`; halo cells are reachable at `-1` and `ny`/`nx`.
@@ -80,11 +80,6 @@ impl Field2 {
     /// Raw storage including halo (row-major, `(ny+2) × (nx+2)`).
     pub fn raw(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable raw storage including halo.
-    pub fn raw_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Copy the interior into a flat `Vec` (row-major, no halo).
@@ -204,11 +199,6 @@ impl Field3 {
     #[inline]
     pub fn layer_mut(&mut self, k: usize) -> &mut Field2 {
         &mut self.layers[k]
-    }
-
-    /// Mutable access to all layers at once (for vertical solves).
-    pub fn layers_mut(&mut self) -> &mut [Field2] {
-        &mut self.layers
     }
 
     #[inline]

@@ -64,11 +64,6 @@ impl SigmaCoords {
         self.z_w(k + 1, h, zeta) - self.z_w(k, h, zeta)
     }
 
-    /// Mid-layer depth (negative) of layer `k`.
-    pub fn z_r(&self, k: usize, h: f64, zeta: f64) -> f64 {
-        0.5 * (self.z_w(k, h, zeta) + self.z_w(k + 1, h, zeta))
-    }
-
     /// All layer thicknesses bottom-up; sums to `h + zeta`.
     pub fn thicknesses(&self, h: f64, zeta: f64) -> Vec<f64> {
         (0..self.nz).map(|k| self.dz(k, h, zeta)).collect()

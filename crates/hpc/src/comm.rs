@@ -7,8 +7,8 @@
 //! than silently reordering physics).
 
 use std::cell::Cell;
+use std::ops::AddAssign;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A tagged payload.
@@ -24,8 +24,14 @@ pub struct CommStats {
     pub doubles_sent: usize,
     /// Seconds spent blocked in `recv` plus send bookkeeping.
     pub comm_seconds: f64,
-    /// Seconds spent waiting at barriers.
-    pub barrier_seconds: f64,
+}
+
+impl AddAssign for CommStats {
+    fn add_assign(&mut self, other: Self) {
+        self.messages_sent += other.messages_sent;
+        self.doubles_sent += other.doubles_sent;
+        self.comm_seconds += other.comm_seconds;
+    }
 }
 
 /// Build communicators for `p` ranks.
@@ -40,7 +46,6 @@ pub fn communicators(p: usize) -> Vec<Comm> {
             rxs[dst].push(rx);
         }
     }
-    let barrier = Arc::new(std::sync::Barrier::new(p));
     // Rank r needs: a sender to every dst (the channel indexed [dst][r]),
     // and its own receiver set rxs[r].
     let mut comms = Vec::with_capacity(p);
@@ -51,20 +56,18 @@ pub fn communicators(p: usize) -> Vec<Comm> {
             size: p,
             send_to,
             recv_from: rx_set,
-            barrier: Arc::clone(&barrier),
             stats: Cell::new(CommStats::default()),
         });
     }
     comms
 }
 
-/// One rank's endpoint: point-to-point send/recv plus a barrier.
+/// One rank's endpoint: point-to-point send/recv.
 pub struct Comm {
     rank: usize,
     size: usize,
     send_to: Vec<Sender<Message>>,
     recv_from: Vec<Receiver<Message>>,
-    barrier: Arc<std::sync::Barrier>,
     /// A `Comm` lives on one thread (its receivers are not `Sync`), so the
     /// counters need no lock.
     stats: Cell<CommStats>,
@@ -106,13 +109,6 @@ impl Comm {
         msg.data
     }
 
-    /// Synchronize all ranks.
-    pub fn barrier(&self) {
-        let t0 = Instant::now();
-        self.barrier.wait();
-        self.update_stats(|s| s.barrier_seconds += t0.elapsed().as_secs_f64());
-    }
-
     /// Snapshot of this rank's communication counters.
     pub fn stats(&self) -> CommStats {
         self.stats.get()
@@ -123,69 +119,33 @@ impl Comm {
         f(&mut s);
         self.stats.set(s);
     }
-
-    /// Sum-reduce a scalar across all ranks (naive all-to-root-to-all).
-    pub fn allreduce_sum(&self, value: f64) -> f64 {
-        const TAG_GATHER: u64 = u64::MAX - 1;
-        const TAG_BCAST: u64 = u64::MAX - 2;
-        if self.size == 1 {
-            return value;
-        }
-        if self.rank == 0 {
-            let mut total = value;
-            for src in 1..self.size {
-                total += self.recv(src, TAG_GATHER)[0];
-            }
-            for dst in 1..self.size {
-                self.send(dst, TAG_BCAST, vec![total]);
-            }
-            total
-        } else {
-            self.send(0, TAG_GATHER, vec![value]);
-            self.recv(0, TAG_BCAST)[0]
-        }
-    }
-
-    /// Max-reduce a scalar across all ranks.
-    pub fn allreduce_max(&self, value: f64) -> f64 {
-        const TAG_GATHER: u64 = u64::MAX - 3;
-        const TAG_BCAST: u64 = u64::MAX - 4;
-        if self.size == 1 {
-            return value;
-        }
-        if self.rank == 0 {
-            let mut m = value;
-            for src in 1..self.size {
-                m = m.max(self.recv(src, TAG_GATHER)[0]);
-            }
-            for dst in 1..self.size {
-                self.send(dst, TAG_BCAST, vec![m]);
-            }
-            m
-        } else {
-            self.send(0, TAG_GATHER, vec![value]);
-            self.recv(0, TAG_BCAST)[0]
-        }
-    }
 }
 
-/// Run `f` on `p` ranks over scoped threads; returns per-rank results in
-/// rank order.
+/// Run `f` once per item, one rank per item, each rank on its own scoped
+/// thread; returns per-rank results in rank order. A single item runs on
+/// the calling thread, so a one-rank run spawns nothing.
 ///
 /// Each rank's [`Comm`] is *moved into* its thread: if a rank panics, its
 /// channels drop and every peer blocked on it fails fast with "peer hung
 /// up" instead of deadlocking.
-pub fn run_parallel<R, F>(p: usize, f: F) -> Vec<R>
+pub fn run_parallel<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
+    T: Send,
     R: Send,
-    F: Fn(&Comm) -> R + Sync,
+    F: Fn(&Comm, T) -> R + Sync,
 {
+    let mut comms = communicators(items.len());
+    if items.len() == 1 {
+        let comm = comms.pop().expect("one rank");
+        return items.into_iter().map(|item| f(&comm, item)).collect();
+    }
     let f = &f;
     // Join every rank, then re-raise the first panic in rank order.
     let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = communicators(p)
+        let handles: Vec<_> = comms
             .into_iter()
-            .map(|comm| scope.spawn(move || f(&comm)))
+            .zip(items)
+            .map(|(comm, item)| scope.spawn(move || f(&comm, item)))
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
@@ -202,7 +162,7 @@ mod tests {
     #[test]
     fn ring_pass() {
         let p = 4;
-        let results = run_parallel(p, |c| {
+        let results = run_parallel(vec![(); p], |c, ()| {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
             c.send(next, 1, vec![c.rank() as f64]);
@@ -213,30 +173,24 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_all_ranks_agree() {
-        let results = run_parallel(5, |c| c.allreduce_sum((c.rank() + 1) as f64));
-        for r in results {
-            assert_eq!(r, 15.0);
-        }
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let results = run_parallel(3, |c| c.allreduce_max(c.rank() as f64 * 2.0));
-        for r in results {
-            assert_eq!(r, 4.0);
-        }
+    fn single_rank_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let results = run_parallel(vec![7], |c, item| {
+            (c.rank(), c.size(), item, std::thread::current().id())
+        });
+        assert_eq!(results, vec![(0, 1, 7, caller)]);
+        let ranks = run_parallel(vec![(); 2], |_, ()| std::thread::current().id());
+        assert!(ranks.iter().all(|&id| id != caller), "two ranks spawn");
     }
 
     #[test]
     fn stats_count_messages() {
-        let results = run_parallel(2, |c| {
+        let results = run_parallel(vec![(); 2], |c, ()| {
             if c.rank() == 0 {
                 c.send(1, 7, vec![1.0, 2.0, 3.0]);
             } else {
                 let _ = c.recv(0, 7);
             }
-            c.barrier();
             c.stats()
         });
         assert_eq!(results[0].messages_sent, 1);
@@ -255,7 +209,7 @@ mod tests {
 
     #[test]
     fn fifo_ordering_per_pair() {
-        let results = run_parallel(2, |c| {
+        let results = run_parallel(vec![(); 2], |c, ()| {
             if c.rank() == 0 {
                 for k in 0..10 {
                     c.send(1, k, vec![k as f64]);

@@ -110,16 +110,6 @@ impl Decomp {
             north: (r + 1 < self.pr).then(|| self.rank_at(r + 1, c)),
         }
     }
-
-    /// Maximum load imbalance: max tile cells / mean tile cells.
-    pub fn imbalance(&self) -> f64 {
-        let max = (0..self.size())
-            .map(|r| self.tile(r).cells())
-            .max()
-            .unwrap() as f64;
-        let mean = (self.ny * self.nx) as f64 / self.size() as f64;
-        max / mean
-    }
 }
 
 /// Neighbor ranks of a tile.
@@ -201,14 +191,6 @@ mod tests {
         assert_eq!(n3.south, Some(1));
         assert!(n3.east.is_none());
         assert!(n3.north.is_none());
-    }
-
-    #[test]
-    fn imbalance_small() {
-        let d = Decomp::with_grid(10, 10, 3, 3);
-        assert!(d.imbalance() < 1.5);
-        let d2 = Decomp::with_grid(9, 9, 3, 3);
-        assert!((d2.imbalance() - 1.0).abs() < 1e-12);
     }
 
     #[test]

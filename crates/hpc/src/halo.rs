@@ -116,7 +116,7 @@ mod tests {
         let nx = 12;
         let d = Decomp::with_grid(ny, nx, 2, 3);
         let d2 = d.clone();
-        run_parallel(d.size(), move |c| {
+        run_parallel(vec![(); d.size()], move |c, ()| {
             let t = d2.tile(c.rank());
             let me = c.rank() as f64;
             let mut halos: Vec<(Side, Vec<f64>)> = Vec::new();
@@ -157,7 +157,7 @@ mod tests {
     fn repeated_exchanges_keep_order() {
         let d = Decomp::with_grid(4, 8, 1, 2);
         let d2 = d.clone();
-        run_parallel(2, move |c| {
+        run_parallel(vec![(); 2], move |c, ()| {
             for step in 0..5u64 {
                 let mut got = Vec::new();
                 exchange_halo(

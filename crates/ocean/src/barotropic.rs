@@ -2,10 +2,10 @@
 //! step with Flather/Chapman open boundaries, quadratic bottom drag,
 //! Coriolis and horizontal eddy viscosity.
 //!
-//! One implementation serves both the serial model (a single tile covering
-//! the domain) and the MPI-style tiled model; shared faces between tiles
-//! are computed redundantly from exchanged halos, which keeps the two
-//! bit-identical without extra communication.
+//! One implementation serves every tiling of the model, a single tile
+//! covering the domain included; shared faces between tiles are computed
+//! redundantly from exchanged halos, which keeps all tilings bit-identical
+//! without extra communication.
 
 use crate::domain::TileDomain;
 use crate::forcing::TidalForcing;
@@ -43,7 +43,7 @@ impl Default for PhysParams {
 }
 
 /// Fill physical-boundary halos: Chapman-style clamped ζ on the open west
-/// boundary, zero-gradient elsewhere. Tiled runs call this *after* the
+/// boundary, zero-gradient elsewhere. The driver calls this *after* the
 /// neighbor exchange so only true domain edges are touched.
 pub fn apply_boundary_halos(dom: &TileDomain, state: &mut State, forcing: &TidalForcing) {
     let (ny, nx) = (dom.ny as isize, dom.nx as isize);

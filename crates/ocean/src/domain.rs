@@ -1,10 +1,10 @@
 //! Tile-local view of the model domain.
 //!
 //! Every solver kernel operates on a [`TileDomain`]: a tile's interior plus
-//! a one-cell halo of grid data. The serial model is the single-tile
-//! special case, so serial and MPI-style tiled runs execute the *same*
-//! kernel code on the same values — which is what makes the
-//! tiled-equals-serial bitwise test meaningful.
+//! a one-cell halo of grid data. The one-tile model is the special case of
+//! the MPI-style tiling, so every tiling executes the *same* kernel code on
+//! the same values — which is what makes the tiled-equals-serial bitwise
+//! test meaningful.
 
 use cgrid::{Field2, Grid, SigmaCoords};
 use chpc::Tile;
@@ -41,8 +41,7 @@ pub struct TileDomain {
 }
 
 impl TileDomain {
-    /// Extract the tile `t` of `grid` (use the full-domain tile for the
-    /// serial model).
+    /// Extract the tile `t` of `grid`.
     pub fn from_grid(grid: &Grid, t: Tile) -> Self {
         let ny = t.ny();
         let nx = t.nx();
@@ -106,7 +105,7 @@ impl TileDomain {
         }
     }
 
-    /// Full-domain tile for the serial model.
+    /// The tile covering the whole domain.
     pub fn whole(grid: &Grid) -> Self {
         Self::from_grid(
             grid,

@@ -9,9 +9,9 @@
 //! - Slow (baroclinic) mode: implicit vertical viscosity (tridiagonal
 //!   solve per column), ROMS-style barotropic mode coupling, vertical
 //!   velocity diagnosed from continuity ([`baroclinic`]).
-//! - Serial driver [`model::Roms`] and the MPI-style tiled driver
-//!   [`par::run_tiled`] share the same kernels: tiled runs are
-//!   bit-identical to serial ones.
+//! - One driver, [`model::Roms`], runs the kernels on the tiles of a
+//!   `chpc::Decomp` with MPI-style halo exchange; one tile is the serial
+//!   model, and any tile count gives bit-identical output.
 //! - Output: cell-centered [`snapshot::Snapshot`]s matching the paper's
 //!   data-preparation step (side→center interpolation, f32).
 
@@ -20,7 +20,7 @@ pub mod barotropic;
 pub mod domain;
 pub mod forcing;
 pub mod model;
-pub mod par;
+mod par;
 pub mod snapshot;
 pub mod state;
 
@@ -28,6 +28,5 @@ pub use barotropic::{PhysParams, G, MIN_DEPTH};
 pub use domain::TileDomain;
 pub use forcing::{Constituent, ForcingError, TidalForcing};
 pub use model::{OceanConfig, Roms};
-pub use par::{run_tiled, TiledRun};
 pub use snapshot::{load_snapshot, take_snapshot, Snapshot};
 pub use state::State;

@@ -1,11 +1,14 @@
-//! Serial model driver: split-explicit time stepping and recording.
+//! The model driver: split-explicit time stepping and recording on the
+//! tiles of one [`Decomp`].
 
 use cgrid::Grid;
+use chpc::{run_parallel, CommStats, Decomp};
 
 use crate::baroclinic::step_baroclinic;
 use crate::barotropic::{apply_boundary_halos, step_fast, PhysParams};
 use crate::domain::TileDomain;
 use crate::forcing::TidalForcing;
+use crate::par::exchange_state_halos;
 use crate::snapshot::{load_snapshot, take_snapshot, Snapshot};
 use crate::state::State;
 
@@ -42,53 +45,103 @@ impl OceanConfig {
     }
 }
 
-/// The serial split-explicit model (single tile covering the domain).
+/// The split-explicit model on `p` tiles, one rank thread per tile (one
+/// tile runs on the caller's thread). Any `p` gives bit-identical output.
 pub struct Roms {
-    pub dom: TileDomain,
-    pub state: State,
+    /// Prognostic state of each tile, in rank order.
+    pub state: Vec<State>,
     pub cfg: OceanConfig,
-    /// Count of fast steps taken (diagnostics).
-    pub fast_steps: u64,
+    decomp: Decomp,
+    /// Grid data of each tile, in rank order.
+    doms: Vec<TileDomain>,
+    /// The whole domain, which [`Roms::load`] scatters from; `None` when
+    /// it is the only tile.
+    whole: Option<TileDomain>,
+    /// Communication of each tile, summed over calls.
+    stats: Vec<CommStats>,
 }
 
 impl Roms {
+    /// The model on one tile covering the domain.
     pub fn new(grid: &Grid, cfg: OceanConfig) -> Self {
-        let dom = TileDomain::whole(grid);
-        let state = State::rest(&dom);
+        Self::tiled(grid, cfg, 1)
+    }
+
+    /// The model on `p` tiles of [`Decomp::auto`], at rest.
+    pub fn tiled(grid: &Grid, cfg: OceanConfig, p: usize) -> Self {
+        let decomp = Decomp::auto(grid.ny, grid.nx, p);
+        let doms: Vec<TileDomain> = (0..p)
+            .map(|rank| TileDomain::from_grid(grid, decomp.tile(rank)))
+            .collect();
         Self {
-            dom,
-            state,
+            state: doms.iter().map(State::rest).collect(),
             cfg,
-            fast_steps: 0,
+            decomp,
+            whole: (p > 1).then(|| TileDomain::whole(grid)),
+            doms,
+            stats: vec![CommStats::default(); p],
         }
     }
 
-    /// One slow step: `ndtfast` barotropic steps then the baroclinic solve.
-    pub fn step_slow(&mut self) {
-        for _ in 0..self.cfg.ndtfast {
-            apply_boundary_halos(&self.dom, &mut self.state, &self.cfg.forcing);
-            step_fast(
-                &self.dom,
-                &mut self.state,
-                &self.cfg.phys,
-                &self.cfg.forcing,
-            );
-            self.fast_steps += 1;
+    /// Advance `n` times by `per` slow steps; when `record`, return the
+    /// snapshot taken after each of the `n` blocks. The only time loop:
+    /// each slow step is `ndtfast` barotropic steps then the baroclinic
+    /// solve.
+    fn advance(&mut self, n: usize, per: usize, record: bool) -> Vec<Snapshot> {
+        let (cfg, decomp) = (&self.cfg, &self.decomp);
+        let tiles: Vec<_> = self.doms.iter().zip(&mut self.state).collect();
+        let ranks = run_parallel(tiles, |comm, (dom, state)| {
+            let mut snaps = Vec::with_capacity(if record { n } else { 0 });
+            for _ in 0..n {
+                for _ in 0..per {
+                    for _ in 0..cfg.ndtfast {
+                        exchange_state_halos(comm, decomp, dom, state);
+                        apply_boundary_halos(dom, state, &cfg.forcing);
+                        step_fast(dom, state, &cfg.phys, &cfg.forcing);
+                    }
+                    // Refresh interior halos so both owners of a
+                    // tile-shared face see the post-fast-loop ζ
+                    // (physical-boundary halos stay as the fast loop left
+                    // them: the baroclinic solve reads that stale ζ_ext).
+                    exchange_state_halos(comm, decomp, dom, state);
+                    step_baroclinic(dom, state, &cfg.phys, cfg.dt_slow());
+                }
+                if record {
+                    snaps.push(take_snapshot(dom, state));
+                }
+            }
+            (snaps, comm.stats())
+        });
+        let mut locals = Vec::with_capacity(ranks.len());
+        for ((snaps, stats), total) in ranks.into_iter().zip(&mut self.stats) {
+            *total += stats;
+            locals.push(snaps);
         }
-        step_baroclinic(
-            &self.dom,
-            &mut self.state,
-            &self.cfg.phys,
-            self.cfg.dt_slow(),
-        );
+        self.assemble(locals)
+    }
+
+    /// Global snapshots from each tile's local ones (rank order).
+    fn assemble(&self, mut locals: Vec<Vec<Snapshot>>) -> Vec<Snapshot> {
+        if locals.len() == 1 {
+            return locals.pop().expect("one tile");
+        }
+        let (ny, nx) = (self.decomp.ny, self.decomp.nx);
+        let mut out: Vec<Snapshot> = locals[0]
+            .iter()
+            .map(|s| Snapshot::zeros(s.time, s.nz, ny, nx))
+            .collect();
+        for (dom, local) in self.doms.iter().zip(&locals) {
+            for (global, tile) in out.iter_mut().zip(local) {
+                global.place(tile, dom.tile);
+            }
+        }
+        out
     }
 
     /// Advance by (at least) `seconds`, in whole slow steps.
     pub fn run_seconds(&mut self, seconds: f64) {
         let steps = (seconds / self.cfg.dt_slow()).ceil() as usize;
-        for _ in 0..steps {
-            self.step_slow();
-        }
+        self.advance(1, steps, false);
     }
 
     /// Spin up from rest so tidal co-oscillation is established.
@@ -96,15 +149,28 @@ impl Roms {
         self.run_seconds(seconds);
     }
 
-    /// Current state as a cell-centered snapshot.
+    /// Current state as a cell-centered snapshot of the whole domain.
     pub fn snapshot(&self) -> Snapshot {
-        take_snapshot(&self.dom, &self.state)
+        let locals = self
+            .doms
+            .iter()
+            .zip(&self.state)
+            .map(|(dom, state)| vec![take_snapshot(dom, state)])
+            .collect();
+        self.assemble(locals).pop().expect("one snapshot")
     }
 
     /// Replace the model state from a cell-centered snapshot (hybrid
-    /// workflow fallback entry point).
+    /// workflow fallback entry point): rebuilt on the whole domain, then
+    /// each tile takes its window.
     pub fn load(&mut self, snap: &Snapshot) {
-        self.state = load_snapshot(&self.dom, snap);
+        self.state = match &self.whole {
+            None => vec![load_snapshot(&self.doms[0], snap)],
+            Some(whole) => {
+                let global = load_snapshot(whole, snap);
+                self.doms.iter().map(|dom| global.crop(dom)).collect()
+            }
+        };
     }
 
     /// Record `n` snapshots `interval` seconds apart (the first after one
@@ -116,14 +182,13 @@ impl Roms {
             "interval {interval}s must be a multiple of the slow step {}s",
             self.cfg.dt_slow()
         );
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            for _ in 0..per {
-                self.step_slow();
-            }
-            out.push(self.snapshot());
-        }
-        out
+        self.advance(n, per, true)
+    }
+
+    /// Communication of each tile (rank order), summed over every call
+    /// since construction. All zero on one tile.
+    pub fn comm_stats(&self) -> &[CommStats] {
+        &self.stats
     }
 }
 
@@ -151,9 +216,9 @@ mod tests {
         cfg.forcing = TidalForcing::single(0.3, 12.0);
         let mut model = Roms::new(&grid, cfg);
         model.run_seconds(24.0 * 3600.0);
-        assert!(model.state.is_finite());
-        assert!(model.state.max_zeta() > 0.02, "tide must penetrate");
-        assert!(model.state.max_zeta() < 1.0);
+        assert!(model.state[0].is_finite());
+        assert!(model.state[0].max_zeta() > 0.02, "tide must penetrate");
+        assert!(model.state[0].max_zeta() < 1.0);
     }
 
     #[test]
@@ -212,9 +277,9 @@ mod tests {
 
         let mut resumed = Roms::new(&grid, cfg);
         resumed.load(&snap);
-        assert!((resumed.state.time - snap.time).abs() < 1e-9);
+        assert!((resumed.state[0].time - snap.time).abs() < 1e-9);
         resumed.run_seconds(3600.0);
-        assert!(resumed.state.is_finite());
-        assert!(resumed.state.max_zeta() < 1.0);
+        assert!(resumed.state[0].is_finite());
+        assert!(resumed.state[0].max_zeta() < 1.0);
     }
 }

@@ -53,32 +53,37 @@ impl Snapshot {
         (self.zeta.len() + self.u.len() + self.v.len() + self.w.len()) * std::mem::size_of::<f32>()
     }
 
-    /// Extract the tile interior of this snapshot (global → local crop).
-    pub fn crop(&self, tile: chpc::Tile) -> Snapshot {
-        let (ny, nx) = (tile.ny(), tile.nx());
-        let mut out = Snapshot {
-            time: self.time,
-            nz: self.nz,
+    /// All-zero snapshot at `time`.
+    pub(crate) fn zeros(time: f64, nz: usize, ny: usize, nx: usize) -> Snapshot {
+        Snapshot {
+            time,
+            nz,
             ny,
             nx,
             zeta: vec![0.0; ny * nx],
-            u: vec![0.0; self.nz * ny * nx],
-            v: vec![0.0; self.nz * ny * nx],
-            w: vec![0.0; self.nz * ny * nx],
-        };
-        for j in 0..ny {
-            for i in 0..nx {
-                out.zeta[j * nx + i] = self.zeta[self.idx2(tile.j0 + j, tile.i0 + i)];
-                for k in 0..self.nz {
-                    let src = self.idx3(k, tile.j0 + j, tile.i0 + i);
-                    let dst = (k * ny + j) * nx + i;
-                    out.u[dst] = self.u[src];
-                    out.v[dst] = self.v[src];
-                    out.w[dst] = self.w[src];
-                }
+            u: vec![0.0; nz * ny * nx],
+            v: vec![0.0; nz * ny * nx],
+            w: vec![0.0; nz * ny * nx],
+        }
+    }
+
+    /// Write a tile's snapshot into its window of this global one.
+    pub(crate) fn place(&mut self, local: &Snapshot, tile: chpc::Tile) {
+        assert_eq!(
+            (local.nz, local.ny, local.nx),
+            (self.nz, tile.ny(), tile.nx())
+        );
+        let n = tile.nx();
+        for j in 0..tile.ny() {
+            let (dst, src) = (self.idx2(tile.j0 + j, tile.i0), j * n);
+            self.zeta[dst..dst + n].copy_from_slice(&local.zeta[src..src + n]);
+            for k in 0..self.nz {
+                let (dst, src) = (self.idx3(k, tile.j0 + j, tile.i0), local.idx3(k, j, 0));
+                self.u[dst..dst + n].copy_from_slice(&local.u[src..src + n]);
+                self.v[dst..dst + n].copy_from_slice(&local.v[src..src + n]);
+                self.w[dst..dst + n].copy_from_slice(&local.w[src..src + n]);
             }
         }
-        out
     }
 
     /// Root-mean-square difference per variable against another snapshot.
@@ -99,16 +104,7 @@ impl Snapshot {
 /// Interpolate the staggered state of one tile to cell centers.
 pub fn take_snapshot(dom: &TileDomain, state: &State) -> Snapshot {
     let (nz, ny, nx) = (dom.nz, dom.ny, dom.nx);
-    let mut snap = Snapshot {
-        time: state.time,
-        nz,
-        ny,
-        nx,
-        zeta: vec![0.0; ny * nx],
-        u: vec![0.0; nz * ny * nx],
-        v: vec![0.0; nz * ny * nx],
-        w: vec![0.0; nz * ny * nx],
-    };
+    let mut snap = Snapshot::zeros(state.time, nz, ny, nx);
     for j in 0..ny {
         for i in 0..nx {
             let (js, is_) = (j as isize, i as isize);
@@ -285,26 +281,40 @@ mod tests {
     }
 
     #[test]
-    fn crop_extracts_tile() {
-        let d = dom();
-        let mut s = State::rest(&d);
-        for j in 0..d.ny as isize {
-            for i in 0..d.nx as isize {
-                s.zeta
-                    .set(j, i, (j * 100 + i) as f64 * d.mask_rho.get(j, i));
+    fn place_writes_tile_window() {
+        let decomp = chpc::Decomp::with_grid(16, 16, 2, 3);
+        let mut global = Snapshot::zeros(0.0, 3, 16, 16);
+        for rank in 0..decomp.size() {
+            let t = decomp.tile(rank);
+            let mut local = Snapshot::zeros(0.0, 3, t.ny(), t.nx());
+            for j in 0..t.ny() {
+                for i in 0..t.nx() {
+                    let l = local.idx2(j, i);
+                    local.zeta[l] = ((t.j0 + j) * 100 + t.i0 + i) as f32;
+                    for k in 0..3 {
+                        let l = local.idx3(k, j, i);
+                        (local.u[l], local.v[l], local.w[l]) = (rank as f32, k as f32, -1.0);
+                    }
+                }
+            }
+            global.place(&local, t);
+        }
+        for j in 0..16 {
+            for i in 0..16 {
+                assert_eq!(global.zeta_at(j, i), (j * 100 + i) as f32);
+                let owner = (0..decomp.size())
+                    .find(|&r| {
+                        let t = decomp.tile(r);
+                        (t.j0..t.j1).contains(&j) && (t.i0..t.i1).contains(&i)
+                    })
+                    .unwrap();
+                for k in 0..3 {
+                    let g = global.idx3(k, j, i);
+                    let got = (global.u[g], global.v[g], global.w[g]);
+                    assert_eq!(got, (owner as f32, k as f32, -1.0), "({k},{j},{i})");
+                }
             }
         }
-        let snap = take_snapshot(&d, &s);
-        let tile = chpc::Tile {
-            j0: 4,
-            j1: 10,
-            i0: 2,
-            i1: 8,
-        };
-        let c = snap.crop(tile);
-        assert_eq!((c.ny, c.nx), (6, 6));
-        assert_eq!(c.zeta_at(0, 0), snap.zeta_at(4, 2));
-        assert_eq!(c.zeta_at(5, 5), snap.zeta_at(9, 7));
     }
 
     #[test]

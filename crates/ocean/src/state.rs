@@ -47,6 +47,34 @@ impl State {
         }
     }
 
+    /// The window of this whole-domain state that tile `dom` covers, halo
+    /// ring included.
+    pub(crate) fn crop(&self, dom: &TileDomain) -> State {
+        let (j0, i0) = (dom.tile.j0 as isize, dom.tile.i0 as isize);
+        let window = |dst: &mut Field2, src: &Field2| {
+            for j in -1..=dst.ny() as isize {
+                for i in -1..=dst.nx() as isize {
+                    dst.set(j, i, src.get(j0 + j, i0 + i));
+                }
+            }
+        };
+        let mut s = State::rest(dom);
+        s.time = self.time;
+        window(&mut s.zeta, &self.zeta);
+        window(&mut s.ubar, &self.ubar);
+        window(&mut s.vbar, &self.vbar);
+        for (dst, src) in [
+            (&mut s.u, &self.u),
+            (&mut s.v, &self.v),
+            (&mut s.w, &self.w),
+        ] {
+            for k in 0..src.nz() {
+                window(dst.layer_mut(k), src.layer(k));
+            }
+        }
+        s
+    }
+
     /// Total water volume over the tile interior (m³): Σ (h+ζ)·area.
     pub fn volume(&self, dom: &TileDomain) -> f64 {
         let mut vol = 0.0;

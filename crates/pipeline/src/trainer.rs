@@ -286,7 +286,7 @@ impl Trainer {
         // (weighted loss sum, instances, instance-weighted flat grad, rank
         // buffers, peak activation bytes) per rank, in rank order.
         type RankResult = (f64, usize, Vec<f64>, Vec<Tensor>, usize);
-        let results: Vec<RankResult> = run_parallel(workers, |comm| {
+        let results: Vec<RankResult> = run_parallel(vec![(); workers], |comm, ()| {
             let _backend = ctensor::backend::scoped(be.clone());
             let rank = comm.rank();
             let lo = (rank * per).min(episodes.len());

@@ -137,14 +137,6 @@ impl Adam {
         &self.params
     }
 
-    /// Total scalar count, and optimizer-state bytes (m+v), used by the
-    /// Table II memory accounting.
-    pub fn state_bytes(&self) -> usize {
-        let p: usize = self.params.iter().map(|p| p.numel()).sum();
-        // value + grad + m + v, 4 bytes each
-        p * 4 * 4
-    }
-
     /// Step counter (number of `step` calls applied so far).
     pub fn t(&self) -> i32 {
         self.t

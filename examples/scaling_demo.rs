@@ -1,10 +1,10 @@
 //! MPI-style strong scaling of the ROMS-like simulator (the paper's
-//! Table I baseline): tiled runs at 1..8 workers with communication
-//! statistics, verifying tiled == serial bit-for-bit.
+//! Table I baseline): `Roms` on 1..8 tiles with communication statistics,
+//! verifying every tiling equals the one-tile run bit-for-bit.
 //!
 //! Run with: `cargo run --release --example scaling_demo`
 
-use coastal::ocean::{run_tiled, Roms};
+use coastal::ocean::Roms;
 use coastal::Scenario;
 
 fn main() {
@@ -20,15 +20,14 @@ fn main() {
     println!("serial: {:.3}s", t0.elapsed().as_secs_f64());
 
     for p in [1usize, 2, 4, 8] {
-        let run = run_tiled(&grid, &cfg, p, n_snaps, interval);
-        let sent: usize = run.stats.iter().map(|s| s.doubles_sent).sum();
-        let identical = reference
-            .iter()
-            .zip(&run.snapshots)
-            .all(|(a, b)| a.zeta == b.zeta && a.u == b.u && a.v == b.v);
+        let mut tiled = Roms::tiled(&grid, cfg.clone(), p);
+        let t0 = std::time::Instant::now();
+        let snaps = tiled.record(n_snaps, interval);
+        let wall = t0.elapsed().as_secs_f64();
+        let sent: usize = tiled.comm_stats().iter().map(|s| s.doubles_sent).sum();
+        let identical = reference == snaps;
         println!(
-            "tiled p={p}: {:.3}s, {:.1} MB halo traffic, bitwise == serial: {identical}",
-            run.wall_seconds,
+            "tiled p={p}: {wall:.3}s, {:.1} MB halo traffic, bitwise == serial: {identical}",
             sent as f64 * 8.0 / 1e6
         );
         assert!(identical, "tiled runs must match serial exactly");

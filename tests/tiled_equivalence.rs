@@ -1,10 +1,10 @@
-//! The flagship HPC property: the MPI-style tiled simulator is
-//! bit-identical to the serial one, across decompositions — plus the
+//! The flagship HPC property: the simulator on MPI-style tiles is
+//! bit-identical to the one-tile run, across decompositions — plus the
 //! analogous compute-backend property: the blocked/fused/parallel tensor
 //! backend is numerically equivalent to the scalar reference oracle on a
 //! full surrogate forward pass.
 
-use coastal::ocean::{run_tiled, Roms};
+use coastal::ocean::Roms;
 use coastal::surrogate::{SwinConfig, SwinSurrogate};
 use coastal::tensor::autograd::Graph;
 use coastal::tensor::backend::{self, ScalarRef};
@@ -26,8 +26,8 @@ fn tiled_equals_serial_across_worker_counts() {
     let reference = serial.record(n, interval);
 
     for p in [2usize, 3, 4, 6] {
-        let tiled = run_tiled(&grid, &cfg, p, n, interval);
-        for (a, b) in reference.iter().zip(&tiled.snapshots) {
+        let tiled = Roms::tiled(&grid, cfg.clone(), p).record(n, interval);
+        for (a, b) in reference.iter().zip(&tiled) {
             assert_eq!(a.zeta, b.zeta, "ζ mismatch at p={p}");
             assert_eq!(a.u, b.u, "u mismatch at p={p}");
             assert_eq!(a.v, b.v, "v mismatch at p={p}");
