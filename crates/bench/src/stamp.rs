@@ -1,7 +1,7 @@
 //! Provenance stamp shared by every `BENCH_*.json` emitter: git revision,
-//! ISO-8601 UTC timestamp, backend under test, detected SIMD feature set,
-//! and actual rayon thread count — so the perf trajectory across commits
-//! is attributable without digging through CI logs.
+//! ISO-8601 UTC timestamp, backend under test and detected SIMD feature
+//! set — so the perf trajectory across commits is attributable without
+//! digging through CI logs.
 
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -17,30 +17,26 @@ pub struct RunStamp {
     pub backend: String,
     /// SIMD feature set the kernels dispatch to (`avx2+fma` / `scalar`).
     pub simd: String,
-    /// Worker threads rayon reports at capture time (reflects any
-    /// `ThreadPoolBuilder` override, not a hardcoded constant).
-    pub threads: usize,
 }
 
 impl RunStamp {
-    /// Capture the current revision/time/simd/thread provenance.
+    /// Capture the current revision/time/simd provenance.
     pub fn capture(backend: &str) -> Self {
         Self {
             git_rev: git_rev(),
             timestamp_utc: iso8601_utc_now(),
             backend: backend.to_string(),
             simd: ctensor::simd::feature_string().to_string(),
-            threads: rayon::current_num_threads(),
         }
     }
 
     /// The stamp as JSON object fields (no surrounding braces), ready to
     /// splice into a report: `"git_rev": "…", "timestamp_utc": "…",
-    /// "backend": "…", "simd": "…", "threads": N`.
+    /// "backend": "…", "simd": "…"`.
     pub fn json_fields(&self) -> String {
         format!(
-            "\"git_rev\": \"{}\", \"timestamp_utc\": \"{}\", \"backend\": \"{}\", \"simd\": \"{}\", \"threads\": {}",
-            self.git_rev, self.timestamp_utc, self.backend, self.simd, self.threads
+            "\"git_rev\": \"{}\", \"timestamp_utc\": \"{}\", \"backend\": \"{}\", \"simd\": \"{}\"",
+            self.git_rev, self.timestamp_utc, self.backend, self.simd
         )
     }
 }
@@ -119,7 +115,6 @@ mod tests {
         assert!(!s.git_rev.is_empty());
         assert_eq!(s.timestamp_utc.len(), 20, "{}", s.timestamp_utc);
         assert!(s.timestamp_utc.ends_with('Z'));
-        assert!(s.threads >= 1);
         let json = s.json_fields();
         assert!(json.contains("\"git_rev\""));
         assert!(json.contains("\"backend\": \"blocked\""));

@@ -18,8 +18,8 @@
 //!   the [`EnsembleRunner`] forecasts them in chunks, one
 //!   [`ccore::HybridForecaster::episodes`] call each: a stacked forward,
 //!   per-member physics verification, and ROMS fallback under the
-//!   member's own forcing ([`run_parallel`] fans chunks across a thread
-//!   pool for multicore hosts).
+//!   member's own forcing ([`run_parallel`] fans member slices across
+//!   `chpc` ranks for multicore hosts).
 //! - [`stats`] — per-cell mean/spread/quantiles of ζ, u, v;
 //!   exceedance-probability maps (`P[ζ_max > threshold]`, the flood-risk
 //!   product); member ranking by [`ccore::ErrorTable`]. The pass rate
@@ -27,7 +27,7 @@
 //!
 //! Everything is deterministic per seed: catalog draws, synthesized
 //! windows and statistics are bit-identical across runs, and per-member
-//! forecasts are chunk- and thread-count-invariant.
+//! forecasts are invariant under chunk size and rank count.
 //!
 //! ```no_run
 //! use ccore::{train_surrogate, Scenario};

@@ -4,8 +4,8 @@
 //! Members are forecast in chunks of [`RunnerConfig::chunk`]. With a
 //! verifier, a chunk is one [`HybridForecaster::episodes`] call, each
 //! member falling back under its own forcing; without one, a bare
-//! [`TrainedSurrogate::predict_batch`]. [`run_parallel`] fans chunks out
-//! across threads, each rebuilding the model from a `Send`
+//! [`TrainedSurrogate::predict_batch`]. [`run_parallel`] fans member
+//! slices out across `chpc` ranks, each rebuilding the model from a `Send`
 //! [`SurrogateSpec`]. A member's forecast does not depend on its
 //! chunkmates (batch rows are independent), so serial, chunked and
 //! parallel runs produce identical ensembles.
@@ -177,11 +177,12 @@ impl<'a> EnsembleRunner<'a> {
     }
 }
 
-/// Run an ensemble across a worker-thread pool. Each worker rebuilds the
-/// surrogate from `spec` (parameters are thread-local `Rc`s; the spec is
-/// `Send`) and processes a contiguous slice of members with the chunked
-/// stacked path of [`EnsembleRunner::run`]. Member order and per-member
-/// results are identical to a serial run.
+/// Run an ensemble on `cfg.threads` `chpc` ranks, one contiguous slice of
+/// members each. Each rank rebuilds the surrogate from `spec` (parameters
+/// are thread-local `Rc`s; the spec is `Send`) and runs the chunked
+/// stacked path of [`EnsembleRunner::run`]; one slice runs on the calling
+/// thread. Member order and per-member results are identical to a serial
+/// run.
 pub fn run_parallel(
     spec: &SurrogateSpec,
     grid: &Grid,
@@ -202,31 +203,12 @@ pub fn run_parallel(
     }
     .min(windows.len());
 
-    if threads <= 1 {
-        let local = spec.instantiate();
-        return EnsembleRunner::new(grid, &local, scenario, year, cfg).run(windows);
-    }
-
     let per = windows.len().div_ceil(threads);
-    let slices: Vec<&[MemberWindow]> = windows.chunks(per).collect();
-    let results: Vec<Result<EnsembleOutcome, ForecastError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = slices
-            .into_iter()
-            .map(|slice| {
-                s.spawn(move || {
-                    let local = spec.instantiate();
-                    EnsembleRunner::new(grid, &local, scenario, year, cfg).run(slice)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ensemble worker panicked"))
-            .collect()
+    let parts = chpc::run_parallel(windows.chunks(per).collect(), |_, slice| {
+        let local = spec.instantiate();
+        EnsembleRunner::new(grid, &local, scenario, year, cfg).run(slice)
     });
-    let mut parts = Vec::with_capacity(results.len());
-    for r in results {
-        parts.push(r?);
-    }
-    Ok(EnsembleOutcome::merge(parts))
+    Ok(EnsembleOutcome::merge(
+        parts.into_iter().collect::<Result<_, _>>()?,
+    ))
 }

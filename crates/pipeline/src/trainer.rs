@@ -6,7 +6,7 @@
 //! step's forward/backward runs the batched SIMD kernels end to end.
 //! Gradient accumulation ([`TrainConfig::accum_steps`]) and the data-parallel
 //! epoch ([`Trainer::train_epoch_data_parallel`]) both reduce gradients in a
-//! fixed positional order, so results are independent of kernel thread count.
+//! fixed positional order, so results do not depend on thread scheduling.
 
 use std::time::Instant;
 
@@ -30,8 +30,7 @@ pub struct TrainConfig {
     pub memory_budget: Option<usize>,
     /// Micro-batches to accumulate before each optimizer update (≥1).
     /// Gradients are averaged over the accumulated micro-batches in a
-    /// fixed positional order, so the result does not depend on kernel
-    /// thread count.
+    /// fixed positional order.
     pub accum_steps: usize,
 }
 
@@ -135,8 +134,8 @@ impl Trainer {
     }
 
     /// Average the gradients accumulated over `micro_batches` calls to
-    /// [`Trainer::forward_backward`] (fixed positional order — deterministic
-    /// for any kernel thread count), clip, and apply one optimizer update.
+    /// [`Trainer::forward_backward`] (fixed positional order), clip, and
+    /// apply one optimizer update.
     pub fn apply_accumulated(&mut self, micro_batches: usize) {
         let _span = cobs::span!("train.optimizer");
         let t0 = Instant::now();

@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ccore::{train_surrogate, Scenario, SurrogateSpec};
-use cobs::{Clock, ManualClock, SloEngine, SloSpec};
+use cobs::{AlertState, Clock, ManualClock, SloEngine, SloSpec};
 use cocean::Snapshot;
 use cserve::{ForecastRequest, ForecastServer, OpsServer, OpsState, ServeConfig};
 
@@ -149,8 +149,17 @@ fn ops_endpoints_serve_live_telemetry_over_tcp() {
     assert!(json.trim_start().starts_with('{'), "{json:.200}");
     assert!(json.contains("serve.requests.completed"), "{json:.400}");
 
+    // Four debug-build forwards can cross the latency SLO on a loaded
+    // host, so the expected status is whatever the server's own SLO
+    // engine reports now; `healthz_degrades_to_503_when_an_slo_pages`
+    // pins both answers with a manual clock.
+    let paging = server.slo().worst_state() == AlertState::Page;
     let (status, health) = http_get(addr, "/healthz");
-    assert_eq!(status, 200, "healthy server must answer 200: {health}");
+    assert_eq!(
+        status,
+        if paging { 503 } else { 200 },
+        "/healthz must answer 503 exactly when an SLO pages: {health}"
+    );
     assert!(health.contains("\"slos\""), "{health}");
     assert!(health.contains("\"availability\""), "{health}");
     assert!(health.contains("\"recorder\""), "{health}");

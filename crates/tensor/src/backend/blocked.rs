@@ -1,47 +1,26 @@
-//! `Blocked`: the default fast backend.
+//! `Blocked`: the default fast backend. Every kernel runs on its caller's
+//! thread; parallelism lives one level up (serving replicas, `chpc` ranks,
+//! ensemble member slices).
 //!
 //! - **matmul** — GEBP-style: the B operand is packed into `NR`-wide column
 //!   panels per `KC`-deep K-block, A into `MR`-tall row strips, and an
-//!   `MR×NR` register-tile microkernel runs over the packed panels. Batches
-//!   and row blocks parallelize over rayon.
+//!   `MR×NR` register-tile microkernel runs over the packed panels.
 //! - **attention** — fused `softmax(Q·Kᵀ·scale + mask)·V`: query rows are
 //!   processed in blocks of [`QB`] so each K/V row streams from cache once
 //!   per block, and the `(n, n)` score matrix is never materialized.
-//! - **elementwise / reductions / softmax** — rayon-parallel above the
-//!   runtime-tunable [`Blocked::par_threshold`] element count, with
-//!   in-place variants that skip the output allocation entirely.
+//! - **elementwise / reductions / softmax** — in-place variants skip the
+//!   output allocation entirely.
 //!
-//! # Blocked v2: SIMD lanes + thread determinism
+//! # SIMD lanes
 //!
 //! The transcendental elementwise kernels (`gelu`, `gelu_grad`, `exp`,
 //! `tanh`), row softmax, fused attention, and the GEBP microkernel route
 //! through [`crate::simd`]: 8-wide AVX2+FMA lanes when the CPU has them,
 //! an exactly-libm scalar fallback otherwise ([`Blocked::with_simd`]
 //! pins it per instance for parity tests).
-//!
-//! Every kernel is **bitwise thread-count invariant**: the same input
-//! yields the same bits at 1, 2, 4, or any number of rayon threads.
-//! - Lane/tail-structured elementwise kernels parallelize over
-//!   **fixed-size** [`SIMD_CHUNK`] chunks (a multiple of
-//!   [`crate::simd::LANES`]), so the lane/tail split of every element is a
-//!   function of slice length alone, never of thread count.
-//! - Row kernels (softmax, layernorm, attention) split on row boundaries;
-//!   each row's arithmetic is self-contained.
-//! - The matmul's parallel row-split is `MR`-aligned and per-element
-//!   accumulation order (`KC`-block outer, packed-`kk` inner) is identical
-//!   no matter which task computes a row.
-//! - [`Backend::sum`] reduces fixed 4096-element chunk partials into a
-//!   positionally-ordered buffer and folds that buffer serially, so even
-//!   the f64 add order is thread-independent.
 
-use rayon::prelude::*;
-
-use super::{AttentionSpec, Backend, BinaryOp, MatmulSpec, UnaryOp};
+use super::{AttentionSpec, Backend, BinaryOp, MatmulSpec, ScalarRef, UnaryOp};
 use crate::simd::{self, SimdLevel};
-
-/// Parallelism threshold (elements) of the process default; tests pin
-/// other values per instance.
-pub const DEFAULT_PAR_THRESHOLD: usize = 32 * 1024;
 
 /// Microkernel tile: MR rows of A × NR columns of B held in registers.
 const MR: usize = 4;
@@ -51,122 +30,53 @@ const NR: usize = 16;
 const KC: usize = 256;
 /// Query-row block of the fused attention kernel.
 const QB: usize = 8;
-/// Serial cutoff: problems under this many flops aren't worth fan-out.
-const MIN_PAR_FLOPS: usize = 64 * 1024;
-/// Fixed parallel chunk (elements) for lane-structured elementwise
-/// kernels. A multiple of [`simd::LANES`], so chunk boundaries never move
-/// an element between the lane and tail paths — outputs are bitwise
-/// identical at any thread count.
-const SIMD_CHUNK: usize = 4096;
-const _: () = assert!(SIMD_CHUNK.is_multiple_of(simd::LANES));
 // The packed-panel microkernel is specialized to this tile.
 const _: () = assert!(MR == 4 && NR == 16);
 
 #[derive(Debug, Clone)]
 pub struct Blocked {
-    par_threshold: usize,
     simd: SimdLevel,
 }
 
 impl Default for Blocked {
     fn default() -> Self {
-        Self::new(DEFAULT_PAR_THRESHOLD)
+        Self::new()
     }
 }
 
 impl Blocked {
-    /// Backend with an explicit parallelism threshold (elements).
-    pub fn new(par_threshold: usize) -> Self {
-        Self::with_simd(par_threshold, simd::level())
+    /// Backend at the CPU's SIMD level.
+    pub fn new() -> Self {
+        Self::with_simd(simd::level())
     }
 
     /// Backend with a pinned SIMD level — the kernel-parity tests use this
     /// to run the lane and fallback paths side by side in one process.
-    pub fn with_simd(par_threshold: usize, level: SimdLevel) -> Self {
-        Self {
-            par_threshold: par_threshold.max(1),
-            simd: level,
+    pub fn with_simd(level: SimdLevel) -> Self {
+        Self { simd: level }
+    }
+
+    fn run_unary(&self, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = f(v);
         }
     }
 
-    #[inline]
-    fn parallel(&self, n: usize) -> bool {
-        n >= self.par_threshold && rayon::current_num_threads() > 1
-    }
-
-    fn run_unary(&self, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32 + Sync + Send) {
-        if self.parallel(out.len()) {
-            out.par_iter_mut()
-                .zip(x.par_iter())
-                .for_each(|(o, &v)| *o = f(v));
-        } else {
-            for (o, &v) in out.iter_mut().zip(x) {
-                *o = f(v);
-            }
+    fn run_unary_inplace(&self, x: &mut [f32], f: impl Fn(f32) -> f32) {
+        for v in x.iter_mut() {
+            *v = f(*v);
         }
     }
 
-    fn run_unary_inplace(&self, x: &mut [f32], f: impl Fn(f32) -> f32 + Sync + Send) {
-        if self.parallel(x.len()) {
-            x.par_iter_mut().for_each(|v| *v = f(*v));
-        } else {
-            for v in x.iter_mut() {
-                *v = f(*v);
-            }
+    fn run_binary(&self, a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
         }
     }
 
-    fn run_binary(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        f: impl Fn(f32, f32) -> f32 + Sync + Send,
-    ) {
-        if self.parallel(out.len()) {
-            out.par_iter_mut()
-                .zip(a.par_iter().zip(b.par_iter()))
-                .for_each(|(o, (&x, &y))| *o = f(x, y));
-        } else {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = f(x, y);
-            }
-        }
-    }
-
-    fn run_binary_inplace(
-        &self,
-        acc: &mut [f32],
-        b: &[f32],
-        f: impl Fn(f32, f32) -> f32 + Sync + Send,
-    ) {
-        if self.parallel(acc.len()) {
-            acc.par_iter_mut()
-                .zip(b.par_iter())
-                .for_each(|(x, &y)| *x = f(*x, y));
-        } else {
-            for (x, &y) in acc.iter_mut().zip(b) {
-                *x = f(*x, y);
-            }
-        }
-    }
-
-    fn run_simd_unary(&self, x: &[f32], out: &mut [f32], kern: SimdMapFn) {
-        if self.parallel(out.len()) {
-            out.par_chunks_mut(SIMD_CHUNK)
-                .zip(x.par_chunks(SIMD_CHUNK))
-                .for_each(|(o, xc)| kern(self.simd, xc, o));
-        } else {
-            kern(self.simd, x, out);
-        }
-    }
-
-    fn run_simd_unary_inplace(&self, x: &mut [f32], kern: SimdMapInplaceFn) {
-        if self.parallel(x.len()) {
-            x.par_chunks_mut(SIMD_CHUNK)
-                .for_each(|c| kern(self.simd, c));
-        } else {
-            kern(self.simd, x);
+    fn run_binary_inplace(&self, acc: &mut [f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+        for (x, &y) in acc.iter_mut().zip(b) {
+            *x = f(*x, y);
         }
     }
 
@@ -175,10 +85,7 @@ impl Blocked {
     /// `brs`/`bcs` = row/column element strides), so transposed operands run
     /// through the packed microkernel without materializing a transpose.
     /// `offs[bi]` are element offsets of batch `bi`'s operand matrices; the
-    /// output is dense `gm×gn` per batch. Parallel dispatch mirrors
-    /// [`Backend::matmul`]: per-batch tasks when batches are plentiful,
-    /// MR-aligned row splits otherwise — accumulation order per output
-    /// element is thread-count invariant either way.
+    /// output is dense `gm×gn` per batch.
     #[allow(clippy::too_many_arguments)]
     fn grad_gemm(
         &self,
@@ -198,85 +105,21 @@ impl Blocked {
         if o_mat == 0 || offs.is_empty() {
             return;
         }
-        let n_batch = offs.len();
-        let flops = 2 * n_batch * gm * gk * gn;
-        let threads = rayon::current_num_threads();
-
-        if flops < MIN_PAR_FLOPS || threads <= 1 {
-            for (bi, o) in out.chunks_mut(o_mat).enumerate() {
-                let (aoff, boff) = offs[bi];
-                gebp_strided(
-                    self.simd,
-                    &aop[aoff..],
-                    &bop[boff..],
-                    o,
-                    gm,
-                    gk,
-                    gn,
-                    ars,
-                    acs,
-                    brs,
-                    bcs,
-                );
-            }
-        } else if n_batch >= threads {
-            out.par_chunks_mut(o_mat).enumerate().for_each(|(bi, o)| {
-                let (aoff, boff) = offs[bi];
-                gebp_strided(
-                    self.simd,
-                    &aop[aoff..],
-                    &bop[boff..],
-                    o,
-                    gm,
-                    gk,
-                    gn,
-                    ars,
-                    acs,
-                    brs,
-                    bcs,
-                );
-            });
-        } else {
-            let rows_per_task = gm.div_ceil(threads.div_ceil(n_batch)).div_ceil(MR).max(1) * MR;
-            let tasks: Vec<(usize, usize, usize)> = (0..n_batch)
-                .flat_map(|bi| {
-                    (0..gm)
-                        .step_by(rows_per_task)
-                        .map(move |r0| (bi, r0, (r0 + rows_per_task).min(gm)))
-                })
-                .collect();
-            type RowTask<'a> = (&'a mut [f32], (usize, usize, usize));
-            let mut slices: Vec<RowTask<'_>> = Vec::with_capacity(tasks.len());
-            {
-                let mut rest = out;
-                let mut prev_end = 0usize;
-                for &(bi, r0, r1) in &tasks {
-                    let start = bi * o_mat + r0 * gn;
-                    let end = bi * o_mat + r1 * gn;
-                    let (_, tail) = rest.split_at_mut(start - prev_end);
-                    let (mine, tail) = tail.split_at_mut(end - start);
-                    rest = tail;
-                    prev_end = end;
-                    slices.push((mine, (bi, r0, r1)));
-                }
-            }
-            slices.par_iter_mut().for_each(|(o, (bi, r0, r1))| {
-                let (aoff, boff) = offs[*bi];
-                // Row block [r0, r1) of the A view starts r0 row-strides in.
-                gebp_strided(
-                    self.simd,
-                    &aop[aoff + *r0 * ars..],
-                    &bop[boff..],
-                    o,
-                    *r1 - *r0,
-                    gk,
-                    gn,
-                    ars,
-                    acs,
-                    brs,
-                    bcs,
-                );
-            });
+        for (bi, o) in out.chunks_mut(o_mat).enumerate() {
+            let (aoff, boff) = offs[bi];
+            gebp_strided(
+                self.simd,
+                &aop[aoff..],
+                &bop[boff..],
+                o,
+                gm,
+                gk,
+                gn,
+                ars,
+                acs,
+                brs,
+                bcs,
+            );
         }
     }
 }
@@ -312,13 +155,9 @@ impl Backend for Blocked {
         "blocked"
     }
 
-    fn par_threshold(&self) -> usize {
-        self.par_threshold
-    }
-
     fn unary(&self, op: UnaryOp, x: &[f32], out: &mut [f32]) {
         if let Some(kern) = simd_unary(op) {
-            return self.run_simd_unary(x, out, kern);
+            return kern(self.simd, x, out);
         }
         match op {
             UnaryOp::Scale(c) => self.run_unary(x, out, move |v| v * c),
@@ -329,7 +168,7 @@ impl Backend for Blocked {
 
     fn unary_inplace(&self, op: UnaryOp, x: &mut [f32]) {
         if let Some(kern) = simd_unary_inplace(op) {
-            return self.run_simd_unary_inplace(x, kern);
+            return kern(self.simd, x);
         }
         match op {
             UnaryOp::Scale(c) => self.run_unary_inplace(x, move |v| v * c),
@@ -367,55 +206,30 @@ impl Backend for Blocked {
         out: &mut [f32],
     ) {
         let nd = out_shape.len();
-        let n = out.len();
         // Odometer walk with incrementally-maintained operand offsets — one
         // add per dimension step instead of a full unravel per element.
-        let compute = |start: usize, chunk: &mut [f32]| {
-            let mut idx = vec![0usize; nd];
-            crate::shape::unravel(start, out_shape, &mut idx);
-            let mut off_a: usize = idx.iter().zip(sa).map(|(&i, &s)| i * s).sum();
-            let mut off_b: usize = idx.iter().zip(sb).map(|(&i, &s)| i * s).sum();
-            for o in chunk.iter_mut() {
-                *o = op.apply(a[off_a], b[off_b]);
-                for d in (0..nd).rev() {
-                    idx[d] += 1;
-                    off_a += sa[d];
-                    off_b += sb[d];
-                    if idx[d] < out_shape[d] {
-                        break;
-                    }
-                    off_a -= sa[d] * out_shape[d];
-                    off_b -= sb[d] * out_shape[d];
-                    idx[d] = 0;
+        let mut idx = vec![0usize; nd];
+        let (mut off_a, mut off_b) = (0usize, 0usize);
+        for o in out.iter_mut() {
+            *o = op.apply(a[off_a], b[off_b]);
+            for d in (0..nd).rev() {
+                idx[d] += 1;
+                off_a += sa[d];
+                off_b += sb[d];
+                if idx[d] < out_shape[d] {
+                    break;
                 }
+                off_a -= sa[d] * out_shape[d];
+                off_b -= sb[d] * out_shape[d];
+                idx[d] = 0;
             }
-        };
-        if self.parallel(n) {
-            let chunk = n
-                .div_ceil(rayon::current_num_threads().max(1) * 4)
-                .max(1024);
-            out.par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, c)| compute(ci * chunk, c));
-        } else {
-            compute(0, out);
         }
     }
 
+    // `sum`, `layernorm_rows` and `row_sums` have no faster serial form
+    // than the reference loops, so they are the reference loops.
     fn sum(&self, x: &[f32]) -> f64 {
-        if self.parallel(x.len()) {
-            // Fixed 4096-element chunk partials land in positional slots and
-            // are folded serially, so the f64 add order — hence the result's
-            // bits — is independent of the thread count.
-            let mut partials = vec![0.0f64; x.len().div_ceil(4096)];
-            partials
-                .par_iter_mut()
-                .zip(x.par_chunks(4096))
-                .for_each(|(p, c)| *p = c.iter().map(|&v| v as f64).sum::<f64>());
-            partials.iter().sum()
-        } else {
-            x.iter().map(|&v| v as f64).sum()
-        }
+        ScalarRef.sum(x)
     }
 
     fn softmax_rows(&self, x: &[f32], out: &mut [f32], row: usize) {
@@ -424,122 +238,33 @@ impl Backend for Blocked {
         }
         // Lane-wise max reduction + subtraction before exp (numerical
         // stability for logits spanning ±1e4) lives in the simd kernel.
-        let lv = self.simd;
-        let body = move |xr: &[f32], or: &mut [f32]| simd::softmax_row(lv, xr, or);
-        if self.parallel(x.len()) && x.len() > row {
-            out.par_chunks_mut(row)
-                .zip(x.par_chunks(row))
-                .for_each(|(or, xr)| body(xr, or));
-        } else {
-            for (xr, or) in x.chunks(row).zip(out.chunks_mut(row)) {
-                body(xr, or);
-            }
+        for (xr, or) in x.chunks(row).zip(out.chunks_mut(row)) {
+            simd::softmax_row(self.simd, xr, or);
         }
     }
 
     fn layernorm_rows(&self, x: &[f32], out: &mut [f32], row: usize, eps: f32) {
-        if row == 0 {
-            return;
-        }
-        let body = |xr: &[f32], or: &mut [f32]| {
-            let mean = xr.iter().sum::<f32>() / row as f32;
-            let var = xr.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / row as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (o, &v) in or.iter_mut().zip(xr) {
-                *o = (v - mean) * inv;
-            }
-        };
-        if self.parallel(x.len()) && x.len() > row {
-            out.par_chunks_mut(row)
-                .zip(x.par_chunks(row))
-                .for_each(|(or, xr)| body(xr, or));
-        } else {
-            for (xr, or) in x.chunks(row).zip(out.chunks_mut(row)) {
-                body(xr, or);
-            }
-        }
+        ScalarRef.layernorm_rows(x, out, row, eps)
     }
 
     fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], spec: &MatmulSpec) {
         let (m, k, n) = (spec.m, spec.k, spec.n);
-        let n_batch = spec.batch_offsets.len();
         let o_mat = m * n;
-        if o_mat == 0 || n_batch == 0 {
+        if o_mat == 0 || spec.batch_offsets.is_empty() {
             return; // degenerate output; chunks_mut(0) below would panic
         }
-        let flops = 2 * n_batch * m * n * k;
-        let threads = rayon::current_num_threads();
-
-        if flops < MIN_PAR_FLOPS || threads <= 1 {
-            for (bi, o) in out.chunks_mut(o_mat).enumerate() {
-                let (ao, bo) = spec.batch_offsets[bi];
-                gebp(
-                    self.simd,
-                    &a[ao * m * k..(ao + 1) * m * k],
-                    &b[bo * k * n..(bo + 1) * k * n],
-                    o,
-                    m,
-                    k,
-                    n,
-                    spec.bias,
-                );
-            }
-        } else if n_batch >= threads {
-            // Many batches: one task per output matrix.
-            out.par_chunks_mut(o_mat).enumerate().for_each(|(bi, o)| {
-                let (ao, bo) = spec.batch_offsets[bi];
-                gebp(
-                    self.simd,
-                    &a[ao * m * k..(ao + 1) * m * k],
-                    &b[bo * k * n..(bo + 1) * k * n],
-                    o,
-                    m,
-                    k,
-                    n,
-                    spec.bias,
-                );
-            });
-        } else {
-            // Few batches: split row blocks within each matrix. Row blocks
-            // are MR-aligned so no two tasks share a microkernel tile.
-            let rows_per_task = m.div_ceil(threads.div_ceil(n_batch)).div_ceil(MR).max(1) * MR;
-            let tasks: Vec<(usize, usize, usize)> = (0..n_batch)
-                .flat_map(|bi| {
-                    (0..m)
-                        .step_by(rows_per_task)
-                        .map(move |r0| (bi, r0, (r0 + rows_per_task).min(m)))
-                })
-                .collect();
-            // Hand each task its disjoint slice of `out`.
-            type RowTask<'a> = (&'a mut [f32], (usize, usize, usize));
-            let mut slices: Vec<RowTask<'_>> = Vec::with_capacity(tasks.len());
-            {
-                let mut rest = out;
-                let mut prev_end = 0usize;
-                for &(bi, r0, r1) in &tasks {
-                    let start = bi * o_mat + r0 * n;
-                    let end = bi * o_mat + r1 * n;
-                    let (_, tail) = rest.split_at_mut(start - prev_end);
-                    let (mine, tail) = tail.split_at_mut(end - start);
-                    rest = tail;
-                    prev_end = end;
-                    slices.push((mine, (bi, r0, r1)));
-                }
-            }
-            slices.par_iter_mut().for_each(|(o, (bi, r0, r1))| {
-                let (ao, bo) = spec.batch_offsets[*bi];
-                let a_mat = &a[ao * m * k..(ao + 1) * m * k];
-                gebp(
-                    self.simd,
-                    &a_mat[*r0 * k..*r1 * k],
-                    &b[bo * k * n..(bo + 1) * k * n],
-                    o,
-                    *r1 - *r0,
-                    k,
-                    n,
-                    spec.bias,
-                );
-            });
+        for (bi, o) in out.chunks_mut(o_mat).enumerate() {
+            let (ao, bo) = spec.batch_offsets[bi];
+            gebp(
+                self.simd,
+                &a[ao * m * k..(ao + 1) * m * k],
+                &b[bo * k * n..(bo + 1) * k * n],
+                o,
+                m,
+                k,
+                n,
+                spec.bias,
+            );
         }
     }
 
@@ -549,31 +274,16 @@ impl Backend for Blocked {
         if mat == 0 || spec.batch == 0 {
             return;
         }
-        let flops = 4 * spec.batch * n * n * d;
-        if flops >= MIN_PAR_FLOPS && rayon::current_num_threads() > 1 && spec.batch > 1 {
-            out.par_chunks_mut(mat).enumerate().for_each(|(bh, om)| {
-                attention_one(
-                    self.simd,
-                    &q[bh * mat..(bh + 1) * mat],
-                    &k[bh * mat..(bh + 1) * mat],
-                    &v[bh * mat..(bh + 1) * mat],
-                    om,
-                    bh,
-                    spec,
-                );
-            });
-        } else {
-            for (bh, om) in out.chunks_mut(mat).enumerate() {
-                attention_one(
-                    self.simd,
-                    &q[bh * mat..(bh + 1) * mat],
-                    &k[bh * mat..(bh + 1) * mat],
-                    &v[bh * mat..(bh + 1) * mat],
-                    om,
-                    bh,
-                    spec,
-                );
-            }
+        for (bh, om) in out.chunks_mut(mat).enumerate() {
+            attention_one(
+                self.simd,
+                &q[bh * mat..(bh + 1) * mat],
+                &k[bh * mat..(bh + 1) * mat],
+                &v[bh * mat..(bh + 1) * mat],
+                om,
+                bh,
+                spec,
+            );
         }
     }
 
@@ -607,57 +317,23 @@ impl Backend for Blocked {
         if row == 0 {
             return;
         }
-        let lv = self.simd;
         // FMA with w = 1.0 rounds exactly like a plain add, so the axpy lane
-        // kernel is bitwise-equal to the serial reference; SIMD_CHUNK column
-        // blocks keep lane/tail splits a function of geometry, not threads.
-        if self.parallel(x.len()) && row > 1 {
-            out[..row]
-                .par_chunks_mut(SIMD_CHUNK)
-                .enumerate()
-                .for_each(|(ci, oc)| {
-                    let j0 = ci * SIMD_CHUNK;
-                    for r in x.chunks_exact(row) {
-                        simd::axpy(lv, 1.0, &r[j0..j0 + oc.len()], oc);
-                    }
-                });
-        } else {
-            for r in x.chunks_exact(row) {
-                simd::axpy(lv, 1.0, r, &mut out[..row]);
-            }
+        // kernel is bitwise-equal to the serial reference.
+        for r in x.chunks_exact(row) {
+            simd::axpy(self.simd, 1.0, r, &mut out[..row]);
         }
     }
 
     fn row_sums(&self, x: &[f32], out: &mut [f32], row: usize) {
-        if row == 0 {
-            return;
-        }
-        let rows = x.len() / row;
-        if self.parallel(x.len()) && rows > 1 {
-            out[..rows]
-                .par_iter_mut()
-                .zip(x[..rows * row].par_chunks(row))
-                .for_each(|(o, r)| *o += r.iter().sum::<f32>());
-        } else {
-            for (o, r) in out.iter_mut().zip(x.chunks_exact(row)) {
-                *o += r.iter().sum::<f32>();
-            }
-        }
+        ScalarRef.row_sums(x, out, row)
     }
 
     fn softmax_grad_rows(&self, y: &[f32], dy: &[f32], dx: &mut [f32], row: usize) {
         if row == 0 {
             return;
         }
-        let lv = self.simd;
-        if self.parallel(y.len()) && y.len() > row {
-            dx.par_chunks_mut(row)
-                .zip(y.par_chunks(row).zip(dy.par_chunks(row)))
-                .for_each(|(dxr, (yr, dyr))| simd::softmax_grad_row(lv, yr, dyr, dxr));
-        } else {
-            for ((yr, dyr), dxr) in y.chunks(row).zip(dy.chunks(row)).zip(dx.chunks_mut(row)) {
-                simd::softmax_grad_row(lv, yr, dyr, dxr);
-            }
+        for ((yr, dyr), dxr) in y.chunks(row).zip(dy.chunks(row)).zip(dx.chunks_mut(row)) {
+            simd::softmax_grad_row(self.simd, yr, dyr, dxr);
         }
     }
 
@@ -665,15 +341,8 @@ impl Backend for Blocked {
         if row == 0 {
             return;
         }
-        let lv = self.simd;
-        if self.parallel(x.len()) && x.len() > row {
-            dx.par_chunks_mut(row)
-                .zip(x.par_chunks(row).zip(dy.par_chunks(row)))
-                .for_each(|(dxr, (xr, dyr))| simd::layernorm_grad_row(lv, xr, dyr, dxr, eps));
-        } else {
-            for ((xr, dyr), dxr) in x.chunks(row).zip(dy.chunks(row)).zip(dx.chunks_mut(row)) {
-                simd::layernorm_grad_row(lv, xr, dyr, dxr, eps);
-            }
+        for ((xr, dyr), dxr) in x.chunks(row).zip(dy.chunks(row)).zip(dx.chunks_mut(row)) {
+            simd::layernorm_grad_row(self.simd, xr, dyr, dxr, eps);
         }
     }
 
@@ -693,44 +362,19 @@ impl Backend for Blocked {
         if mat == 0 || spec.batch == 0 {
             return;
         }
-        let lv = self.simd;
-        // ~10 n²d flops per batch-head (recompute + four products).
-        let flops = 10 * spec.batch * n * n * d;
-        if flops >= MIN_PAR_FLOPS && rayon::current_num_threads() > 1 && spec.batch > 1 {
-            // Each batch-head owns disjoint dq/dk/dv slices, so the three
-            // gradient buffers split in lockstep.
-            dq.par_chunks_mut(mat)
-                .zip(dk.par_chunks_mut(mat).zip(dv.par_chunks_mut(mat)))
-                .enumerate()
-                .for_each(|(bh, (dqm, (dkm, dvm)))| {
-                    attention_grad_one(
-                        lv,
-                        &q[bh * mat..(bh + 1) * mat],
-                        &k[bh * mat..(bh + 1) * mat],
-                        &v[bh * mat..(bh + 1) * mat],
-                        &dout[bh * mat..(bh + 1) * mat],
-                        dqm,
-                        dkm,
-                        dvm,
-                        bh,
-                        spec,
-                    );
-                });
-        } else {
-            for bh in 0..spec.batch {
-                attention_grad_one(
-                    lv,
-                    &q[bh * mat..(bh + 1) * mat],
-                    &k[bh * mat..(bh + 1) * mat],
-                    &v[bh * mat..(bh + 1) * mat],
-                    &dout[bh * mat..(bh + 1) * mat],
-                    &mut dq[bh * mat..(bh + 1) * mat],
-                    &mut dk[bh * mat..(bh + 1) * mat],
-                    &mut dv[bh * mat..(bh + 1) * mat],
-                    bh,
-                    spec,
-                );
-            }
+        for bh in 0..spec.batch {
+            attention_grad_one(
+                self.simd,
+                &q[bh * mat..(bh + 1) * mat],
+                &k[bh * mat..(bh + 1) * mat],
+                &v[bh * mat..(bh + 1) * mat],
+                &dout[bh * mat..(bh + 1) * mat],
+                &mut dq[bh * mat..(bh + 1) * mat],
+                &mut dk[bh * mat..(bh + 1) * mat],
+                &mut dv[bh * mat..(bh + 1) * mat],
+                bh,
+                spec,
+            );
         }
     }
 
@@ -742,41 +386,11 @@ impl Backend for Blocked {
         v: &mut [f32],
         s: &super::AdamStepSpec,
     ) {
-        let lv = self.simd;
-        if self.parallel(p.len()) {
-            p.par_chunks_mut(SIMD_CHUNK)
-                .zip(
-                    g.par_chunks(SIMD_CHUNK).zip(
-                        m.par_chunks_mut(SIMD_CHUNK)
-                            .zip(v.par_chunks_mut(SIMD_CHUNK)),
-                    ),
-                )
-                .for_each(|(pc, (gc, (mc, vc)))| simd::adam_step_slice(lv, pc, gc, mc, vc, s));
-        } else {
-            simd::adam_step_slice(lv, p, g, m, v, s);
-        }
+        simd::adam_step_slice(self.simd, p, g, m, v, s);
     }
 
     fn sgd_step(&self, p: &mut [f32], g: &[f32], vel: Option<&mut [f32]>, lr: f32, momentum: f32) {
-        let lv = self.simd;
-        if self.parallel(p.len()) {
-            match vel {
-                Some(vel) => {
-                    p.par_chunks_mut(SIMD_CHUNK)
-                        .zip(g.par_chunks(SIMD_CHUNK).zip(vel.par_chunks_mut(SIMD_CHUNK)))
-                        .for_each(|(pc, (gc, vc))| {
-                            simd::sgd_step_slice(lv, pc, gc, Some(vc), lr, momentum)
-                        });
-                }
-                None => {
-                    p.par_chunks_mut(SIMD_CHUNK)
-                        .zip(g.par_chunks(SIMD_CHUNK))
-                        .for_each(|(pc, gc)| simd::sgd_step_slice(lv, pc, gc, None, lr, momentum));
-                }
-            }
-        } else {
-            simd::sgd_step_slice(lv, p, g, vel, lr, momentum);
-        }
+        simd::sgd_step_slice(self.simd, p, g, vel, lr, momentum);
     }
 
     fn qlinear_i8(
@@ -786,9 +400,7 @@ impl Backend for Blocked {
         bias: Option<&[f32]>,
         out: &mut [f32],
     ) {
-        let flops = 2 * acts.m * w.kp * w.np;
-        let parallel = flops >= MIN_PAR_FLOPS && rayon::current_num_threads() > 1;
-        crate::quant::qgemm(self.simd, acts, w, bias, out, parallel);
+        crate::quant::qgemm(self.simd, acts, w, bias, out);
     }
 }
 
@@ -1056,7 +668,6 @@ fn attention_grad_one(
 
 #[cfg(test)]
 mod tests {
-    use super::super::ScalarRef;
     use super::*;
 
     fn fill(n: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
@@ -1114,7 +725,7 @@ mod tests {
 
     #[test]
     fn parallel_row_split_matches_reference() {
-        // Few batches + many rows exercises the row-splitting branch.
+        // Two batches of a tall matrix: rows past several MR strips.
         let (m, k, n) = (133, 40, 37);
         let a = fill(2 * m * k, |i| ((i % 17) as f32 - 8.0) * 0.3);
         let b = fill(2 * k * n, |i| ((i % 7) as f32 - 3.0) * 0.5);
@@ -1199,7 +810,7 @@ mod tests {
 
     #[test]
     fn matmul_grads_match_reference() {
-        // Shapes cover the serial, per-batch-parallel, and row-split paths.
+        // Shapes cover one batch, several batches, and tall ragged strips.
         for &(m, k, n, nb) in &[
             (3usize, 5usize, 7usize, 1usize),
             (33, 20, 17, 4),
@@ -1216,7 +827,7 @@ mod tests {
                 batch_offsets: &offsets,
                 bias: None,
             };
-            let fast = Blocked::new(1);
+            let fast = Blocked::new();
             let mut da_f = vec![0.0f32; nb * m * k];
             let mut db_f = vec![0.0f32; nb * k * n];
             fast.matmul_grad_a(&dc, &b, &mut da_f, &spec);
@@ -1254,7 +865,7 @@ mod tests {
         };
         let sz = batch * n * d;
         let (mut dq_f, mut dk_f, mut dv_f) = (vec![0.0; sz], vec![0.0; sz], vec![0.0; sz]);
-        Blocked::new(1).attention_grad(&q, &k, &v, &dout, &mut dq_f, &mut dk_f, &mut dv_f, &spec);
+        Blocked::new().attention_grad(&q, &k, &v, &dout, &mut dq_f, &mut dk_f, &mut dv_f, &spec);
         let (mut dq_s, mut dk_s, mut dv_s) = (vec![0.0; sz], vec![0.0; sz], vec![0.0; sz]);
         ScalarRef.attention_grad(&q, &k, &v, &dout, &mut dq_s, &mut dk_s, &mut dv_s, &spec);
         for (name, f, s) in [
@@ -1273,7 +884,7 @@ mod tests {
         let (rows, row) = (37, 29);
         let x = fill(rows * row, |i| ((i * 7 % 23) as f32 - 11.0) * 0.17);
         let dy = fill(rows * row, |i| ((i * 5 % 19) as f32 - 9.0) * 0.13);
-        let fast = Blocked::new(1);
+        let fast = Blocked::new();
 
         let mut cs_f = vec![0.1f32; row];
         let mut cs_s = vec![0.1f32; row];
@@ -1287,6 +898,17 @@ mod tests {
         fast.row_sums(&x, &mut rs_f, row);
         ScalarRef.row_sums(&x, &mut rs_s, row);
         assert_eq!(rs_f, rs_s);
+
+        // f64 sums fold in the same serial order on both backends, so they
+        // agree bitwise. A 1e17 head rounds off each 1.0 after it one at a
+        // time, so any regrouping of the fold (chunked partials) changes
+        // the bits.
+        let mut big = vec![1.0f32; 48 * 1024];
+        big[0] = 1e17;
+        for xs in [&x, &big] {
+            let (f, s) = (Blocked::default().sum(xs), ScalarRef.sum(xs));
+            assert_eq!(f.to_bits(), s.to_bits(), "sum {f} vs {s}");
+        }
 
         let mut y = vec![0.0f32; rows * row];
         fast.softmax_rows(&x, &mut y, row);
@@ -1309,7 +931,7 @@ mod tests {
 
     #[test]
     fn fused_optimizer_steps_match_reference() {
-        let n = 10_000; // crosses the par threshold with chunked lanes
+        let n = 10_000; // many lane blocks plus a ragged tail
         let g = fill(n, |i| ((i * 13 % 37) as f32 - 18.0) * 0.02);
         let spec = super::super::AdamStepSpec {
             lr: 1e-3,
@@ -1320,7 +942,7 @@ mod tests {
             bc1: 0.1,
             bc2: 1e-3,
         };
-        let fast = Blocked::new(1);
+        let fast = Blocked::new();
         let (mut p_f, mut m_f, mut v_f) = (
             fill(n, |i| (i % 7) as f32 * 0.1),
             vec![0.01; n],

@@ -6,9 +6,13 @@
 //!
 //! - [`ScalarRef`]: simple, obviously-correct serial loops. The correctness
 //!   oracle that property tests compare against, and a debugging fallback.
-//! - [`Blocked`] (the default): rayon-parallel, cache-blocked and
-//!   panel-packed matmul, fused attention, and in-place elementwise
-//!   variants that avoid the one-allocation-per-op pattern.
+//! - [`Blocked`] (the default): cache-blocked and panel-packed matmul,
+//!   fused attention, SIMD lanes, and in-place elementwise variants that
+//!   avoid the one-allocation-per-op pattern.
+//!
+//! Every kernel of both backends runs on its caller's thread. Parallelism
+//! lives one level up: serving replicas, `chpc` ranks and ensemble member
+//! slices each run their own kernels.
 //!
 //! Dispatch happens once per kernel call (an `Arc<dyn Backend>` virtual
 //! call), never per element. [`current`] picks the backend in two steps:
@@ -225,10 +229,6 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// Short identifier (`"scalar"`, `"blocked"`).
     fn name(&self) -> &'static str;
 
-    /// Element count above which elementwise/layout kernels may go
-    /// parallel. `usize::MAX` keeps a backend strictly serial.
-    fn par_threshold(&self) -> usize;
-
     /// `out[i] = op(x[i])`.
     fn unary(&self, op: UnaryOp, x: &[f32], out: &mut [f32]);
 
@@ -277,11 +277,9 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
     // ------------------------------------------------------- backward kernels
     //
-    // Adjoints of the forward kernels above (`ScalarRef` holds the serial
-    // reference loops, `Blocked` the blocked/SIMD/parallel ones). All
-    // outputs are accumulated into (callers pre-zero or seed them), and
-    // every implementation must keep results bitwise invariant under the
-    // rayon thread count.
+    // Adjoints of the forward kernels above (`ScalarRef` holds the
+    // reference loops, `Blocked` the blocked/SIMD ones). All outputs are
+    // accumulated into (callers pre-zero or seed them).
 
     /// Matmul adjoint w.r.t. A: `da[bi] += dc[bi] · B[bo]ᵀ` per output
     /// batch, where `spec` is the *forward* geometry (`m,k,n`,
@@ -337,10 +335,9 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// activations were dynamically quantized with
     /// [`crate::quant::quantize_acts`] and the weight packed by
     /// [`crate::quant::QuantizedTensor::quantize`]. [`ScalarRef`] runs the
-    /// serial scalar oracle; [`Blocked`] the AVX2 `maddubs` microkernel
-    /// with a deterministic row-parallel split (the integer accumulation
-    /// is exact, so outputs are bitwise identical across backends and
-    /// thread counts).
+    /// scalar oracle; [`Blocked`] the AVX2 `maddubs` microkernel (the
+    /// integer accumulation is exact, so outputs are bitwise identical
+    /// across backends).
     fn qlinear_i8(
         &self,
         acts: &crate::quant::QuantActs,
@@ -412,9 +409,9 @@ mod tests {
             assert_eq!(current().name(), "scalar");
             {
                 // The scoped instance itself, not the process default.
-                let _g2 = scoped(Arc::new(Blocked::new(7)));
-                assert_eq!(current().name(), "blocked");
-                assert_eq!(current().par_threshold(), 7);
+                let inner: Arc<dyn Backend> = Arc::new(Blocked::new());
+                let _g2 = scoped(inner.clone());
+                assert!(Arc::ptr_eq(&current(), &inner));
             }
             assert_eq!(current().name(), "scalar");
         }

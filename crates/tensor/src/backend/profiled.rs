@@ -61,10 +61,6 @@ impl Backend for Profiled {
         self.inner.name()
     }
 
-    fn par_threshold(&self) -> usize {
-        self.inner.par_threshold()
-    }
-
     fn unary(&self, op: UnaryOp, x: &[f32], out: &mut [f32]) {
         timed!("kernel.unary.f32", self.inner.unary(op, x, out))
     }

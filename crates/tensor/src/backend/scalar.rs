@@ -1,7 +1,7 @@
 //! `ScalarRef`: the obviously-correct serial reference backend.
 //!
 //! Every kernel is the shortest loop that implements the spec — no
-//! parallelism, no blocking, no packing, no fusion tricks. This is the
+//! blocking, no packing, no SIMD lanes, no fusion tricks. This is the
 //! correctness oracle the property tests compare [`super::Blocked`]
 //! against, and a bisection tool when a fast kernel is suspect.
 
@@ -13,10 +13,6 @@ pub struct ScalarRef;
 impl Backend for ScalarRef {
     fn name(&self) -> &'static str {
         "scalar"
-    }
-
-    fn par_threshold(&self) -> usize {
-        usize::MAX // strictly serial
     }
 
     fn unary(&self, op: UnaryOp, x: &[f32], out: &mut [f32]) {
@@ -344,7 +340,7 @@ impl Backend for ScalarRef {
         bias: Option<&[f32]>,
         out: &mut [f32],
     ) {
-        crate::quant::qgemm(crate::simd::SimdLevel::Scalar, acts, w, bias, out, false);
+        crate::quant::qgemm(crate::simd::SimdLevel::Scalar, acts, w, bias, out);
     }
 
     fn adam_step(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], s: &AdamStepSpec) {

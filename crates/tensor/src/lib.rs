@@ -5,8 +5,8 @@
 //!
 //! Components:
 //! - [`tensor::Tensor`]: dense row-major `f32` tensors with cheap `Arc`
-//!   cloning and rayon-parallel kernels (batched matmul, softmax,
-//!   broadcasting elementwise ops, layout ops).
+//!   cloning and backend-dispatched kernels (batched matmul, softmax,
+//!   broadcasting elementwise ops) plus layout ops.
 //! - [`autograd::Graph`]: tape-based reverse-mode autodiff with activation
 //!   memory metering and generic activation checkpointing
 //!   ([`autograd::Graph::checkpoint`]).

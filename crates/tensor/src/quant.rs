@@ -296,7 +296,7 @@ pub fn select_tier(w: &[f32], k: usize, n: usize, threshold: f32) -> (QuantWeigh
     // int8 path (scalar oracle).
     let acts = quantize_acts(&x, m, k);
     let mut y_q = vec![0.0f32; m * n];
-    qgemm(SimdLevel::Scalar, &acts, &q, None, &mut y_q, false);
+    qgemm(SimdLevel::Scalar, &acts, &q, None, &mut y_q);
 
     let mut max_ref = 0.0f32;
     let mut max_err = 0.0f32;
@@ -474,16 +474,15 @@ mod avx2_acts {
 
 /// Fused int8 GEMM + dequant + bias: `out[m, n] = dequant(qx · qW) + bias`.
 ///
-/// `parallel` fans independent 4-row blocks across rayon; the integer
-/// accumulation is exact and the epilogue is per-element, so outputs are
-/// bitwise identical at any thread count and at either SIMD level.
+/// Runs in 4-row blocks; the integer accumulation is exact and the
+/// epilogue is per-element, so outputs are bitwise identical at either
+/// SIMD level.
 pub fn qgemm(
     level: SimdLevel,
     acts: &QuantActs,
     w: &QuantizedTensor,
     bias: Option<&[f32]>,
     out: &mut [f32],
-    parallel: bool,
 ) {
     assert_eq!(acts.kp, w.kp, "activation/weight K mismatch");
     assert_eq!(acts.k, w.k, "activation/weight k mismatch");
@@ -502,42 +501,20 @@ pub fn qgemm(
         bias_p[..n].copy_from_slice(b);
     }
 
-    if parallel {
-        use rayon::prelude::*;
-        out.par_chunks_mut(4 * n).enumerate().for_each(|(blk, o)| {
-            let r0 = blk * 4;
-            let r1 = (r0 + 4).min(m);
-            qgemm_rows(level, acts, w, &bias_p, r0, r1, o);
-        });
-    } else {
-        qgemm_rows(level, acts, w, &bias_p, 0, m, out);
-    }
-}
-
-/// Rows `[r0, r1)` of the GEMM; `out` is that row range, `(r1-r0) * n`.
-fn qgemm_rows(
-    level: SimdLevel,
-    acts: &QuantActs,
-    w: &QuantizedTensor,
-    bias_p: &[f32],
-    r0: usize,
-    r1: usize,
-    out: &mut [f32],
-) {
-    let mut r = r0;
-    while r < r1 {
-        let mr = (r1 - r).min(4);
-        let rows_out = &mut out[(r - r0) * w.n..(r - r0 + mr) * w.n];
+    let mut r = 0;
+    while r < m {
+        let mr = (m - r).min(4);
+        let rows_out = &mut out[r * n..(r + mr) * n];
         match level {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2Fma => unsafe {
                 if vnni_available() {
-                    vnni::qgemm_block(acts, w, bias_p, r, mr, rows_out);
+                    vnni::qgemm_block(acts, w, &bias_p, r, mr, rows_out);
                 } else {
-                    avx2::qgemm_block(acts, w, bias_p, r, mr, rows_out);
+                    avx2::qgemm_block(acts, w, &bias_p, r, mr, rows_out);
                 }
             },
-            _ => qgemm_block_scalar(acts, w, bias_p, r, mr, rows_out),
+            _ => qgemm_block_scalar(acts, w, &bias_p, r, mr, rows_out),
         }
         r += mr;
     }
@@ -830,7 +807,7 @@ mod tests {
             let q = QuantizedTensor::quantize(&w, k, n);
             let acts = quantize_acts(&x, m, k);
             let mut y = vec![0.0f32; m * n];
-            qgemm(SimdLevel::Scalar, &acts, &q, Some(&bias), &mut y, false);
+            qgemm(SimdLevel::Scalar, &acts, &q, Some(&bias), &mut y);
             let max_ref = y_ref.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
             for (a, b) in y_ref.iter().zip(&y) {
                 assert!(
@@ -865,8 +842,8 @@ mod tests {
             let acts = quantize_acts(&x, m, k);
             let mut y_s = vec![0.0f32; m * n];
             let mut y_v = vec![0.0f32; m * n];
-            qgemm(SimdLevel::Scalar, &acts, &q, Some(&bias), &mut y_s, false);
-            qgemm(SimdLevel::Avx2Fma, &acts, &q, Some(&bias), &mut y_v, false);
+            qgemm(SimdLevel::Scalar, &acts, &q, Some(&bias), &mut y_s);
+            qgemm(SimdLevel::Avx2Fma, &acts, &q, Some(&bias), &mut y_v);
             assert_eq!(
                 y_s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 y_v.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -937,14 +914,7 @@ mod tests {
             let mut bias_p = vec![0.0f32; q.np];
             bias_p[..n].copy_from_slice(&bias);
             let mut y_vnni = vec![0.0f32; m * n];
-            qgemm(
-                SimdLevel::Avx2Fma,
-                &acts,
-                &q,
-                Some(&bias),
-                &mut y_vnni,
-                false,
-            );
+            qgemm(SimdLevel::Avx2Fma, &acts, &q, Some(&bias), &mut y_vnni);
             let mut y_maddubs = vec![0.0f32; m * n];
             let mut r = 0;
             while r < m {
@@ -967,24 +937,6 @@ mod tests {
                 "({m},{k},{n}) vnni vs maddubs not bitwise"
             );
         }
-    }
-
-    #[test]
-    fn qgemm_parallel_is_bitwise_invariant() {
-        let (m, k, n) = (33, 48, 20);
-        let x = lcg_vec(m * k, 41, -2.0, 2.0);
-        let w = lcg_vec(k * n, 43, -1.0, 1.0);
-        let q = QuantizedTensor::quantize(&w, k, n);
-        let acts = quantize_acts(&x, m, k);
-        let mut y_serial = vec![0.0f32; m * n];
-        let mut y_par = vec![0.0f32; m * n];
-        let level = crate::simd::level();
-        qgemm(level, &acts, &q, None, &mut y_serial, false);
-        qgemm(level, &acts, &q, None, &mut y_par, true);
-        assert_eq!(
-            y_serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            y_par.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

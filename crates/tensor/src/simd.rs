@@ -1,4 +1,4 @@
-//! Runtime-detected SIMD lanes for the Blocked v2 kernels.
+//! Runtime-detected SIMD lanes for the Blocked kernels.
 //!
 //! Everything here comes in pairs: an `x86_64` AVX2+FMA implementation
 //! (8-wide `f32` lanes via `std::arch`) and a portable scalar fallback
@@ -16,8 +16,7 @@
 //!   `exp` of values beyond the f32-overflow threshold returns `inf`
 //!   exactly like `f32::exp`.
 //! - Lane/tail splits are **data-independent** (fixed by slice length
-//!   only), so results are bitwise-identical regardless of how many rayon
-//!   threads execute a kernel — required by the thread-invariance tests.
+//!   only), so a slice's results depend on its values and length alone.
 
 /// Lane width of the wide path (f32 elements per vector register).
 pub const LANES: usize = 8;
@@ -374,9 +373,7 @@ mod avx2 {
     }
 
     /// Apply a lane function over `x`, scalar-tail with `tail` — the
-    /// lane/tail split depends only on `x.len()`, keeping results
-    /// invariant under any outer parallel chunking that preserves
-    /// LANES-aligned boundaries.
+    /// lane/tail split depends only on `x.len()`.
     macro_rules! map_slice {
         ($name:ident, $lane:ident, $tail:expr) => {
             #[target_feature(enable = "avx2,fma")]

@@ -3,10 +3,8 @@
 //! All of these materialize a new contiguous buffer (tensors in this crate
 //! are always contiguous), so each op is its own gather/scatter kernel.
 
-use rayon::prelude::*;
-
-use super::{par_threshold, Tensor};
-use crate::shape::{numel, strides_for, unravel};
+use super::Tensor;
+use crate::shape::{numel, strides_for};
 
 impl Tensor {
     /// Permute axes: `out[i0,…] = self[i_axes[0],…]`. `axes` must be a
@@ -23,36 +21,22 @@ impl Tensor {
         let out_shape: Vec<usize> = axes.iter().map(|&a| self.shape()[a]).collect();
         // Stride in the *input* for each output axis.
         let gather_strides: Vec<usize> = axes.iter().map(|&a| in_strides[a]).collect();
-        let n = self.numel();
         let data = self.as_slice();
         let nd_out = out_shape.len();
-        let fill = |start: usize, chunk: &mut [f32]| {
-            let mut idx = vec![0usize; nd_out];
-            unravel(start, &out_shape, &mut idx);
-            let mut src: usize = idx.iter().zip(&gather_strides).map(|(&i, &s)| i * s).sum();
-            for o in chunk.iter_mut() {
-                *o = data[src];
-                for d in (0..nd_out).rev() {
-                    idx[d] += 1;
-                    src += gather_strides[d];
-                    if idx[d] < out_shape[d] {
-                        break;
-                    }
-                    src -= gather_strides[d] * out_shape[d];
-                    idx[d] = 0;
+        let mut out = vec![0.0f32; self.numel()];
+        let mut idx = vec![0usize; nd_out];
+        let mut src = 0usize;
+        for o in out.iter_mut() {
+            *o = data[src];
+            for d in (0..nd_out).rev() {
+                idx[d] += 1;
+                src += gather_strides[d];
+                if idx[d] < out_shape[d] {
+                    break;
                 }
+                src -= gather_strides[d] * out_shape[d];
+                idx[d] = 0;
             }
-        };
-        let mut out = vec![0.0f32; n];
-        if n >= par_threshold() {
-            let chunk = n
-                .div_ceil(rayon::current_num_threads().max(1) * 4)
-                .max(1024);
-            out.par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, c)| fill(ci * chunk, c));
-        } else {
-            fill(0, &mut out);
         }
         Tensor::from_vec(out, &out_shape)
     }
@@ -188,38 +172,23 @@ impl Tensor {
             .collect();
         let strides = strides_for(&shape);
         let data = self.as_slice();
-        let n = self.numel();
-        let mut out = vec![0.0f32; n];
+        let mut out = vec![0.0f32; self.numel()];
         // For each output position, the source index is (i - shift) mod dim.
-        let fill = |start: usize, chunk: &mut [f32]| {
-            let mut idx = vec![0usize; nd];
-            unravel(start, &shape, &mut idx);
-            for (k, o) in chunk.iter_mut().enumerate() {
-                let _ = k;
-                let mut src = 0usize;
-                for d in 0..nd {
-                    let s = (idx[d] + shape[d] - norm[d]) % shape[d];
-                    src += s * strides[d];
-                }
-                *o = data[src];
-                for d in (0..nd).rev() {
-                    idx[d] += 1;
-                    if idx[d] < shape[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
+        let mut idx = vec![0usize; nd];
+        for o in out.iter_mut() {
+            let mut src = 0usize;
+            for d in 0..nd {
+                let s = (idx[d] + shape[d] - norm[d]) % shape[d];
+                src += s * strides[d];
             }
-        };
-        if n >= par_threshold() {
-            let chunk = n
-                .div_ceil(rayon::current_num_threads().max(1) * 4)
-                .max(1024);
-            out.par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(ci, c)| fill(ci * chunk, c));
-        } else {
-            fill(0, &mut out);
+            *o = data[src];
+            for d in (0..nd).rev() {
+                idx[d] += 1;
+                if idx[d] < shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
         }
         Tensor::from_vec(out, &shape)
     }

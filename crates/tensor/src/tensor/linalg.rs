@@ -3,7 +3,7 @@
 //! `matmul` treats the trailing two axes as matrices and broadcasts the
 //! leading (batch) axes NumPy-style. Shape/stride resolution happens here;
 //! the flat kernel itself is the active [`crate::backend::Backend`]'s
-//! `matmul` (cache-blocked + panel-packed + rayon-parallel under
+//! `matmul` (cache-blocked + panel-packed + SIMD microkernel under
 //! [`crate::backend::Blocked`], a naive triple loop under
 //! [`crate::backend::ScalarRef`]).
 

@@ -15,15 +15,6 @@ use std::sync::Arc;
 
 use crate::shape::{self, numel};
 
-/// Element count above which elementwise/layout kernels switch to rayon —
-/// resolved from the active backend: the [`crate::backend::Blocked`]
-/// instance's threshold, and `usize::MAX` (never parallel) under
-/// [`crate::backend::ScalarRef`].
-#[inline]
-pub(crate) fn par_threshold() -> usize {
-    crate::backend::current().par_threshold()
-}
-
 /// A dense, contiguous, row-major tensor of `f32`.
 #[derive(Clone)]
 pub struct Tensor {

@@ -6,9 +6,7 @@
 //! / [`Tensor::zip`] closures remain for one-off derivatives that have no
 //! named kernel.
 
-use rayon::prelude::*;
-
-use super::{par_threshold, Tensor};
+use super::Tensor;
 use crate::backend::{self, BinaryOp, ShapeError, UnaryOp};
 use crate::shape::{broadcast_shapes, broadcast_strides, normalize_axes, numel, strides_for};
 
@@ -17,16 +15,10 @@ impl Tensor {
     ///
     /// For the named elementwise kernels prefer the dedicated methods
     /// (`exp`, `tanh`, …) — those dispatch through the compute backend.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = vec![0.0f32; self.numel()];
-        if self.numel() >= par_threshold() {
-            out.par_iter_mut()
-                .zip(self.as_slice().par_iter())
-                .for_each(|(o, &x)| *o = f(x));
-        } else {
-            for (o, &x) in out.iter_mut().zip(self.as_slice()) {
-                *o = f(x);
-            }
+        for (o, &x) in out.iter_mut().zip(self.as_slice()) {
+            *o = f(x);
         }
         Tensor::from_vec(out, self.shape())
     }
@@ -49,7 +41,7 @@ impl Tensor {
     /// # Panics
     /// If the shapes don't broadcast; use [`Tensor::try_zip`] to handle the
     /// mismatch.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         self.try_zip(other, f).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -57,7 +49,7 @@ impl Tensor {
     pub fn try_zip(
         &self,
         other: &Tensor,
-        f: impl Fn(f32, f32) -> f32 + Sync,
+        f: impl Fn(f32, f32) -> f32,
     ) -> Result<Tensor, ShapeError> {
         let out_shape =
             broadcast_shapes(self.shape(), other.shape()).ok_or_else(|| ShapeError::Broadcast {
@@ -67,55 +59,34 @@ impl Tensor {
         // Fast path: identical shapes — straight zip, no index math.
         if self.shape() == other.shape() {
             let mut out = vec![0.0f32; self.numel()];
-            if self.numel() >= par_threshold() {
-                out.par_iter_mut()
-                    .zip(self.as_slice().par_iter().zip(other.as_slice().par_iter()))
-                    .for_each(|(o, (&a, &b))| *o = f(a, b));
-            } else {
-                for ((o, &a), &b) in out.iter_mut().zip(self.as_slice()).zip(other.as_slice()) {
-                    *o = f(a, b);
-                }
+            for ((o, &a), &b) in out.iter_mut().zip(self.as_slice()).zip(other.as_slice()) {
+                *o = f(a, b);
             }
             return Ok(Tensor::from_vec(out, &out_shape));
         }
         let sa = broadcast_strides(self.shape(), &out_shape);
         let sb = broadcast_strides(other.shape(), &out_shape);
-        let n = numel(&out_shape);
         let da = self.as_slice();
         let db = other.as_slice();
         let nd = out_shape.len();
-        let compute = |start: usize, chunk: &mut [f32]| {
-            let mut idx = vec![0usize; nd];
-            crate::shape::unravel(start, &out_shape, &mut idx);
-            let mut off_a: usize = idx.iter().zip(&sa).map(|(&i, &s)| i * s).sum();
-            let mut off_b: usize = idx.iter().zip(&sb).map(|(&i, &s)| i * s).sum();
-            for o in chunk.iter_mut() {
-                *o = f(da[off_a], db[off_b]);
-                // Increment the multi-index (row-major odometer), updating
-                // both offsets incrementally.
-                for d in (0..nd).rev() {
-                    idx[d] += 1;
-                    off_a += sa[d];
-                    off_b += sb[d];
-                    if idx[d] < out_shape[d] {
-                        break;
-                    }
-                    off_a -= sa[d] * out_shape[d];
-                    off_b -= sb[d] * out_shape[d];
-                    idx[d] = 0;
+        let mut out = vec![0.0f32; numel(&out_shape)];
+        let mut idx = vec![0usize; nd];
+        let (mut off_a, mut off_b) = (0usize, 0usize);
+        for o in out.iter_mut() {
+            *o = f(da[off_a], db[off_b]);
+            // Increment the multi-index (row-major odometer), updating
+            // both offsets incrementally.
+            for d in (0..nd).rev() {
+                idx[d] += 1;
+                off_a += sa[d];
+                off_b += sb[d];
+                if idx[d] < out_shape[d] {
+                    break;
                 }
+                off_a -= sa[d] * out_shape[d];
+                off_b -= sb[d] * out_shape[d];
+                idx[d] = 0;
             }
-        };
-        let mut out = vec![0.0f32; n];
-        if n >= par_threshold() {
-            let chunk = n
-                .div_ceil(rayon::current_num_threads().max(1) * 4)
-                .max(1024);
-            out.par_chunks_mut(chunk).enumerate().for_each(|(ci, c)| {
-                compute(ci * chunk, c);
-            });
-        } else {
-            compute(0, &mut out);
         }
         Ok(Tensor::from_vec(out, &out_shape))
     }
@@ -283,7 +254,7 @@ impl Tensor {
         // Fast path: reductions over a leading prefix and/or trailing suffix
         // of axes (bias gradients, broadcast adjoints, batch-norm statistics
         // — every backward-pass reduction in practice) route through the
-        // backend's parallel column/row-sum kernels. Anything else falls to
+        // backend's column/row-sum kernels. Anything else falls to
         // the serial odometer below.
         if !axes.is_empty() && self.numel() > 0 {
             let p = (0..nd).take_while(|d| axes.contains(d)).count();

@@ -1,21 +1,16 @@
 //! Gradient-parity harness: the tape's backward kernels against central
 //! finite differences and against the scalar reference backend.
 //!
-//! Three layers of checks, mirroring `kernel_parity.rs` on the forward side:
+//! Two layers of checks, mirroring `kernel_parity.rs` on the forward side:
 //!
 //! 1. **Finite-difference parity** — for every op with a hand-written
 //!    backward kernel (matmul, linear+bias, gelu/relu/tanh, softmax rows,
 //!    layer norm, fused attention), the tape gradient of a scalar loss is
 //!    compared against central differences over hostile shapes: odd,
-//!    non-lane-multiple dimensions that exercise packing tails and the
-//!    ragged ends of the parallel splits.
+//!    non-lane-multiple dimensions that exercise packing tails.
 //! 2. **Backend gradient parity** — the same backward pass run once under
-//!    `Blocked` (wide SIMD, `par_threshold = 1` so every rayon path is
-//!    active) and once under `ScalarRef`; gradients must agree within
-//!    FMA-reassociation tolerance.
-//! 3. **Thread invariance** — accumulated gradients of a composite loss
-//!    (with a leaf shared by two consumers, so `GradBuf` accumulation runs)
-//!    are bitwise identical at 1/2/4/8 worker threads.
+//!    `Blocked` (wide SIMD) and once under `ScalarRef`; gradients must
+//!    agree within FMA-reassociation tolerance.
 
 use std::sync::Arc;
 
@@ -57,7 +52,7 @@ fn values_off_kink(seed: u64, len: usize) -> Vec<f32> {
 }
 
 fn blocked_wide() -> Arc<dyn Backend> {
-    Arc::new(Blocked::with_simd(1, simd::level()))
+    Arc::new(Blocked::with_simd(simd::level()))
 }
 
 // ------------------------------------------------- finite-difference parity
@@ -280,8 +275,8 @@ fn attention_grads(be: Arc<dyn Backend>, b: usize, n: usize, d: usize) -> Vec<f3
 
 proptest! {
 
-    /// The full backward pass under `Blocked` (SIMD kernels, every rayon
-    /// path active) matches `ScalarRef` within reassociation tolerance.
+    /// The full backward pass under `Blocked` (SIMD kernels) matches
+    /// `ScalarRef` within reassociation tolerance.
     #[test]
     fn backward_matches_scalar_backend(rows in 1usize..24, k in 1usize..20, n in 1usize..24) {
         let fast = composite_grads(blocked_wide(), rows, k, n);
@@ -304,45 +299,4 @@ proptest! {
             prop_assert!((f - o).abs() <= tol, "attn grad[{}]: blocked {} vs scalar {}", i, f, o);
         }
     }
-}
-
-// ------------------------------------------------------ thread invariance
-
-/// Accumulated gradients must be bitwise identical at 1/2/4/8 worker
-/// threads — the tape's determinism guarantee: every backward kernel
-/// splits work positionally and reduces in a fixed order.
-#[test]
-fn backward_is_thread_count_invariant() {
-    let be = blocked_wide();
-    // Shapes straddle the MR-aligned row split and the per-batch split.
-    let grads_at = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global()
-            .expect("thread pool override");
-        let mut bits: Vec<u32> = composite_grads(be.clone(), 73, 33, 65)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        bits.extend(
-            attention_grads(be.clone(), 4, 18, 8)
-                .iter()
-                .map(|v| v.to_bits()),
-        );
-        bits
-    };
-    let reference = grads_at(1);
-    for &threads in &[2usize, 4, 8] {
-        let got = grads_at(threads);
-        assert_eq!(got.len(), reference.len());
-        for (i, (g, w)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                g, w,
-                "gradient bits diverged at word {i}: {threads} threads vs 1 thread"
-            );
-        }
-    }
-    rayon::ThreadPoolBuilder::new()
-        .build_global()
-        .expect("restore thread pool default");
 }

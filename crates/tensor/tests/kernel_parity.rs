@@ -10,15 +10,11 @@
 //!    passes if the bit patterns match, both are NaN, or the difference
 //!    is within the per-kernel bound (transcendentals are polynomial
 //!    approximations, so exact equality is not the contract there).
-//! 2. **Backend parity + thread invariance** — `Blocked` with
-//!    `par_threshold = 1` (forcing every rayon path) against `ScalarRef`
-//!    through the `Backend` trait, and a bitwise thread-invariance sweep
-//!    at 1/2/4/8 worker threads: identical output bits regardless of
-//!    thread count, which is the determinism guarantee Blocked v2 makes.
+//! 2. **Backend parity** — `Blocked` against `ScalarRef` through the
+//!    `Backend` trait.
 //!
 //! On a host without the wide instruction set, the raw-parity properties
-//! compare scalar to scalar — vacuous but harmless; the thread-invariance
-//! sweep still exercises the parallel partitioning logic.
+//! compare scalar to scalar — vacuous but harmless.
 
 use std::sync::Arc;
 
@@ -262,12 +258,12 @@ proptest! {
 // --------------------------------------------------------- backend parity
 
 fn blocked_wide() -> Arc<dyn Backend> {
-    Arc::new(Blocked::with_simd(1, simd::level()))
+    Arc::new(Blocked::with_simd(simd::level()))
 }
 
 proptest! {
     /// `Blocked` elementwise ops through the `Backend` trait (covering the
-    /// fixed-chunk parallel split and its ragged tail) match `ScalarRef`.
+    /// lane body and its ragged tail) match `ScalarRef`.
     #[test]
     fn backend_unary_matches_scalar_ref(len in 0usize..9000, seed in 0u64..1_000_000_000) {
         let fast_be = blocked_wide();
@@ -289,9 +285,8 @@ proptest! {
         }
     }
 
-    /// Batched matmul (+fused bias) under `Blocked` (GEBP microkernel,
-    /// rayon row split) agrees with `ScalarRef` within FMA-reassociation
-    /// tolerance.
+    /// Batched matmul (+fused bias) under `Blocked` (GEBP microkernel)
+    /// agrees with `ScalarRef` within FMA-reassociation tolerance.
     #[test]
     fn backend_matmul_matches_scalar_ref(
         m in 1usize..20,
@@ -356,18 +351,15 @@ proptest! {
         assert_parity("backend attention", &fast, &oracle, 1e-5, 1e-5);
     }
 
-    /// `sum` under `Blocked` (positional f64 partials) matches the serial
-    /// `ScalarRef` accumulation to f64 round-off.
+    /// `sum` under `Blocked` folds in the same serial f64 order as
+    /// `ScalarRef`, so the two agree bitwise.
     #[test]
     fn backend_sum_matches_scalar_ref(len in 0usize..20_000, seed in 0u64..1_000_000_000) {
         let fast_be = blocked_wide();
         let x = moderate_values(seed, len);
         let fast = fast_be.sum(&x);
         let oracle = ScalarRef.sum(&x);
-        prop_assert!(
-            (fast - oracle).abs() <= 1e-9 + 1e-10 * oracle.abs(),
-            "sum {fast} vs {oracle} (len {len})"
-        );
+        prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "sum {} vs {} (len {})", fast, oracle, len);
     }
 }
 
@@ -412,106 +404,4 @@ fn softmax_extreme_logits_backend_parity() {
             "row {r} has non-finite probabilities"
         );
     }
-}
-
-// ------------------------------------------------------ thread invariance
-
-/// Bit patterns of every parallel-path workload under `Blocked` with
-/// `par_threshold = 1` (all rayon paths active).
-fn parallel_workload_bits(be: &dyn Backend) -> Vec<u64> {
-    let mut bits: Vec<u64> = Vec::new();
-    fn push(bits: &mut Vec<u64>, s: &[f32]) {
-        bits.extend(s.iter().map(|v| u64::from(v.to_bits())));
-    }
-
-    // Elementwise: several fixed 4096-chunks plus a ragged tail, salted
-    // with specials (NaN propagation must also be thread-invariant).
-    let x = hostile_values(0xC0FFEE, 3 * 4096 + 123, true);
-    let mut out = vec![0.0f32; x.len()];
-    be.unary(UnaryOp::Gelu, &x, &mut out);
-    push(&mut bits, &out);
-    be.unary(UnaryOp::Exp, &x, &mut out);
-    push(&mut bits, &out);
-
-    // Reduction: positional partials must fold in a fixed order.
-    let y = moderate_values(0xFACADE, 3 * 4096 + 777);
-    bits.push(be.sum(&y).to_bits());
-
-    // Row-split kernels on odd, non-lane-multiple shapes.
-    let rows = 37usize;
-    let cols = 61usize;
-    let z = moderate_values(0x50F7, rows * cols);
-    let mut out = vec![0.0f32; z.len()];
-    be.softmax_rows(&z, &mut out, cols);
-    push(&mut bits, &out);
-    be.layernorm_rows(&z, &mut out, cols, 1e-5);
-    push(&mut bits, &out);
-
-    // Batched matmul across the row/batch split decision points.
-    let (m, k, n, batch) = (13usize, 29usize, 31usize, 3usize);
-    let a = moderate_values(0xA0, batch * m * k);
-    let b = moderate_values(0xB0, batch * k * n);
-    let bias = moderate_values(0xBB, n);
-    let offsets: Vec<(usize, usize)> = (0..batch).map(|i| (i, i)).collect();
-    let spec = MatmulSpec {
-        m,
-        k,
-        n,
-        batch_offsets: &offsets,
-        bias: Some(&bias),
-    };
-    let mut out = vec![0.0f32; batch * m * n];
-    be.matmul(&a, &b, &mut out, &spec);
-    push(&mut bits, &out);
-
-    // Fused attention (d=8 fast path) across the batch split.
-    let (bh, an, ad) = (5usize, 33usize, 8usize);
-    let q = moderate_values(0x01, bh * an * ad);
-    let kk = moderate_values(0x02, bh * an * ad);
-    let v = moderate_values(0x03, bh * an * ad);
-    let spec = AttentionSpec {
-        batch: bh,
-        heads: 1,
-        n: an,
-        d: ad,
-        scale: 1.0 / (ad as f32).sqrt(),
-        mask: None,
-        mask_windows: 1,
-    };
-    let mut out = vec![0.0f32; bh * an * ad];
-    be.attention(&q, &kk, &v, &mut out, &spec);
-    push(&mut bits, &out);
-
-    bits
-}
-
-/// Blocked v2's determinism guarantee: identical output bits at 1, 2, 4
-/// and 8 worker threads, for every parallel code path.
-#[test]
-fn parallel_paths_are_thread_count_invariant() {
-    let be = blocked_wide();
-    let mut reference: Option<(usize, Vec<u64>)> = None;
-    for &threads in &[1usize, 2, 4, 8] {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global()
-            .expect("thread pool override");
-        let bits = parallel_workload_bits(be.as_ref());
-        match &reference {
-            None => reference = Some((threads, bits)),
-            Some((t0, want)) => {
-                assert_eq!(bits.len(), want.len());
-                for (i, (g, w)) in bits.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        g, w,
-                        "output bit pattern diverged at word {i}: {threads} threads vs {t0} threads"
-                    );
-                }
-            }
-        }
-    }
-    // Restore the default pool size for the rest of the test binary.
-    rayon::ThreadPoolBuilder::new()
-        .build_global()
-        .expect("restore thread pool default");
 }

@@ -2,9 +2,9 @@
 //! and on columns drained below their bed.
 //!
 //! `water_mass_residual` below is the previous residual, kept as a
-//! test-only reference: its arithmetic is unchanged, and only its second
-//! parallel section runs serially (each cell is independent, so the values
-//! are the same). It depth-averaged with `dz_k` per level and divided by
+//! test-only reference: its arithmetic is unchanged, and its loops run
+//! serially (each cell is independent, so the values are the same). It
+//! depth-averaged with `dz_k` per level and divided by
 //! `max(h + ζ, 1e-6)`, so a drying column inflated the residual; the
 //! verifier's `ū = Σ_k u_k ΔC_k` divides by nothing and clamps face depths
 //! to `MIN_DEPTH` as the solver does.
@@ -13,7 +13,6 @@ use coastal::grid::Grid;
 use coastal::ocean::{Snapshot, TidalForcing};
 use coastal::physics::{Verifier, VerifierConfig, ACCEPTED_THRESHOLD};
 use coastal::Scenario;
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Residual field plus summary statistics for one snapshot pair.
@@ -75,8 +74,8 @@ pub fn water_mass_residual(grid: &Grid, before: &Snapshot, after: &Snapshot) -> 
     let wet = |j: usize, i: usize| grid.mask_rho.get(j as isize, i as isize) > 0.5;
     let mut ubar = vec![0.0f64; ny * nx];
     let mut vbar = vec![0.0f64; ny * nx];
-    ubar.par_chunks_mut(nx)
-        .zip(vbar.par_chunks_mut(nx))
+    ubar.chunks_mut(nx)
+        .zip(vbar.chunks_mut(nx))
         .enumerate()
         .for_each(|(j, (urow, vrow))| {
             for i in 0..nx {

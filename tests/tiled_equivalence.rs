@@ -1,6 +1,6 @@
 //! The flagship HPC property: the simulator on MPI-style tiles is
 //! bit-identical to the one-tile run, across decompositions — plus the
-//! analogous compute-backend property: the blocked/fused/parallel tensor
+//! analogous compute-backend property: the blocked/fused/SIMD tensor
 //! backend is numerically equivalent to the scalar reference oracle on a
 //! full surrogate forward pass.
 
